@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <functional>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -15,10 +17,16 @@
 
 namespace dew::net {
 
-// Shared by the client facade and every outstanding submission, so a
-// submission (and its cancel lever) stays usable after the client object
-// moved on — the same after-the-service-is-gone safety serve::submission
-// gives.
+// What a pending request is settled with: the response frame, or the
+// transport fault that replaced it.  It runs with no client lock held, and
+// a throw from it is trapped: it must not stop the reader delivering the
+// other answers.
+using frame_completion =
+    std::function<void(frame response, std::exception_ptr error)>;
+
+// Shared by the client facade and every outstanding submission's cancel
+// lever, so a lever stays usable after the client object moved on — the
+// same after-the-service-is-gone safety serve::submission gives.
 class client_core : public std::enable_shared_from_this<client_core> {
 public:
     client_core(const std::string& host, std::uint16_t port)
@@ -28,14 +36,14 @@ public:
 
     void start_reader() {
         // The lambda delegates to read_loop, whose top-level catch routes
-        // every fault into death_ / the pending promises.
+        // every fault into death_ / the pending completions.
         reader_ = std::thread{[self = shared_from_this()] {
             self->read_loop();
         }};
     }
 
     void shutdown() {
-        fd_.close();
+        fd_.shutdown(); // closed with the core: no fd reuse under a writer
         if (reader_.joinable() &&
             reader_.get_id() != std::this_thread::get_id()) {
             reader_.join();
@@ -52,68 +60,57 @@ public:
         return next_id_.fetch_add(1, std::memory_order_relaxed);
     }
 
-    // Registers a response slot, sends the frame, returns the future the
-    // reader thread will settle.  Any number of threads may call this
-    // concurrently; frames are serialised by the write mutex.  A non-null
-    // span_name asks for an obs span covering send -> response arrival,
-    // recorded by the reader thread under this frame's id — the client half
-    // of the cross-socket stitch (the server stamps the same id into the
-    // request's obs_correlation).
-    std::future<frame> send_request(message_type type,
-                                    std::string_view payload,
-                                    std::uint64_t& id_out,
-                                    const char* span_name = nullptr) {
-        id_out = allocate_id();
-        return send_prepared(type, payload, id_out, span_name);
-    }
-
-    // The allocate_id() half: sends under a caller-reserved id, optionally
-    // tagging the response span with the request's fleet trace id so the
-    // client hop carries the same 128-bit token as the serve-side spans.
-    std::future<frame> send_prepared(message_type type,
-                                     std::string_view payload,
-                                     std::uint64_t id,
-                                     const char* span_name = nullptr,
-                                     std::uint64_t trace_hi = 0,
-                                     std::uint64_t trace_lo = 0) {
+    // Registers `done` for frame `id` and sends the frame (any thread;
+    // writes are serialised).  `done` runs exactly once — on the reader
+    // when the response arrives, or with socket_error if the connection
+    // dies first — unless this throws.  A span_name asks for a span over
+    // send -> arrival, recorded under the frame id and trace id before
+    // `done` runs: the client half of the cross-socket stitch.
+    void send_prepared(message_type type, std::string_view payload,
+                       std::uint64_t id, frame_completion done,
+                       const char* span_name = nullptr,
+                       std::uint64_t trace_hi = 0,
+                       std::uint64_t trace_lo = 0) {
+        const std::string bytes = encode_frame(type, id, payload);
         const std::uint64_t sent_ns =
             span_name != nullptr ? obs::timestamp_if_enabled() : 0;
-        std::future<frame> response;
         {
             const std::lock_guard lock{pending_mutex_};
             if (dead_) {
                 std::rethrow_exception(death_);
             }
-            response = pending_
-                           .emplace(id, std::promise<frame>{})
-                           .first->second.get_future();
-            if (sent_ns != 0) {
-                // Registered atomically with the promise, so the reader's
-                // settle() cannot observe the response first and miss it.
-                inflight_spans_.emplace(
-                    id, inflight_span{span_name, sent_ns, trace_hi,
-                                      trace_lo});
-            }
+            pending_.emplace(id, pending_request{std::move(done), span_name,
+                                                 sent_ns, trace_hi,
+                                                 trace_lo});
         }
-        const std::string bytes = encode_frame(type, id, payload);
         try {
             const std::lock_guard lock{write_mutex_};
             write_all(fd_, bytes.data(), bytes.size());
         } catch (...) {
+            // Whoever takes the entry out of pending_ answers it: if the
+            // reader's death got there first, its completion is the answer.
             const std::lock_guard lock{pending_mutex_};
-            pending_.erase(id);
-            inflight_spans_.erase(id);
-            throw;
+            if (pending_.erase(id) != 0) {
+                throw;
+            }
         }
-        return response;
     }
 
     // Synchronous round trip: expects exactly `expected` back, rethrows
     // error frames as their fault, rejects anything else as wire_error.
     frame roundtrip(message_type type, std::string_view payload,
                     message_type expected) {
-        std::uint64_t id = 0;
-        return expect(send_request(type, payload, id).get(), expected);
+        auto promise = std::make_shared<std::promise<frame>>();
+        std::future<frame> response = promise->get_future();
+        send_prepared(type, payload, allocate_id(),
+                      [promise](frame arrived, std::exception_ptr error) {
+                          if (error) {
+                              promise->set_exception(std::move(error));
+                          } else {
+                              promise->set_value(std::move(arrived));
+                          }
+                      });
+        return expect(response.get(), expected);
     }
 
     static frame expect(frame response, message_type expected) {
@@ -134,65 +131,55 @@ private:
         std::exception_ptr death;
         try {
             std::string header_bytes(frame_header_bytes, '\0');
-            for (;;) {
-                const std::size_t got = read_exact(
-                    fd_, header_bytes.data(), header_bytes.size());
-                if (got != header_bytes.size()) {
-                    death = std::make_exception_ptr(socket_error{
-                        ECONNRESET, "connection closed by server"});
-                    break;
+            frame response;
+            while (read_exact(fd_, header_bytes.data(),
+                              header_bytes.size()) == header_bytes.size()) {
+                response.header = parse_header(header_bytes);
+                if (!read_payload(fd_, response.header.payload_bytes,
+                                  response.payload)) {
+                    break; // torn mid-frame
                 }
-                const frame_header header = parse_header(header_bytes);
-                frame response;
-                response.header = header;
-                response.payload.resize(
-                    static_cast<std::size_t>(header.payload_bytes));
-                if (read_exact(fd_, response.payload.data(),
-                               response.payload.size()) !=
-                    response.payload.size()) {
-                    death = std::make_exception_ptr(socket_error{
-                        ECONNRESET,
-                        "connection closed mid-frame by server"});
-                    break;
-                }
-                settle(header.id, std::move(response));
+                settle(std::move(response));
             }
+            death = std::make_exception_ptr(
+                socket_error{ECONNRESET, "connection closed by server"});
         } catch (...) {
             // wire_error (the server is speaking garbage) or socket_error:
             // either way this conversation is over.
             death = std::current_exception();
         }
-        fd_.close();
+        fd_.shutdown();
         fail_pending(death);
     }
 
-    void settle(std::uint64_t id, frame response) {
-        std::promise<frame> slot;
-        inflight_span span{};
+    void settle(frame response) {
+        const std::uint64_t id = response.header.id;
+        pending_request request;
         {
             const std::lock_guard lock{pending_mutex_};
             const auto found = pending_.find(id);
             if (found == pending_.end()) {
                 return; // e.g. the server's id-0 protocol report
             }
-            slot = std::move(found->second);
+            request = std::move(found->second);
             pending_.erase(found);
-            const auto span_found = inflight_spans_.find(id);
-            if (span_found != inflight_spans_.end()) {
-                span = span_found->second;
-                inflight_spans_.erase(span_found);
-            }
         }
-        if (span.name != nullptr) {
+        if (request.span_name != nullptr && request.sent_ns != 0) {
             obs::recorder::instance().record(
-                span.name, span.sent_ns, obs::now_ns() - span.sent_ns, id, 0,
-                span.trace_hi, span.trace_lo);
+                request.span_name, request.sent_ns,
+                obs::now_ns() - request.sent_ns, id, 0, request.trace_hi,
+                request.trace_lo);
         }
-        slot.set_value(std::move(response));
+        try {
+            request.done(std::move(response), nullptr);
+        } catch (...) {
+            // Trapped (see frame_completion).
+        }
     }
 
     void fail_pending(std::exception_ptr error) {
-        std::unordered_map<std::uint64_t, std::promise<frame>> orphans;
+        std::unordered_map<std::uint64_t, pending_request> orphans;
+        std::exception_ptr death;
         {
             const std::lock_guard lock{pending_mutex_};
             if (!dead_) {
@@ -201,59 +188,41 @@ private:
                                : std::make_exception_ptr(socket_error{
                                      ENOTCONN, "connection closed"});
             }
+            death = death_;
             orphans.swap(pending_);
-            // Orphaned requests get their fault, not a span — a torn
-            // connection's duration measures nothing.
-            inflight_spans_.clear();
         }
-        for (auto& [id, slot] : orphans) {
+        // Orphaned requests get their fault, not a span — a torn
+        // connection's duration measures nothing.
+        for (auto& [id, request] : orphans) {
             (void)id;
-            slot.set_exception(death_);
+            try {
+                request.done({}, death);
+            } catch (...) {
+                // Trapped (see frame_completion).
+            }
         }
     }
+
+    // One request awaiting its response frame, and the span (if any) the
+    // reader closes for it on arrival (submit only, today).
+    struct pending_request {
+        frame_completion done;
+        const char* span_name{nullptr};
+        std::uint64_t sent_ns{0};
+        std::uint64_t trace_hi{0};
+        std::uint64_t trace_lo{0};
+    };
 
     socket_fd fd_;
     std::mutex write_mutex_; // dewlint: lock-order net-client-write 120
     std::thread reader_;
     std::atomic<std::uint64_t> next_id_{1};
 
-    // A request the reader should close a span for on arrival (submit
-    // only, today).  Guarded by pending_mutex_, same lifecycle as pending_.
-    struct inflight_span {
-        const char* name{nullptr};
-        std::uint64_t sent_ns{0};
-        std::uint64_t trace_hi{0};
-        std::uint64_t trace_lo{0};
-    };
-
     std::mutex pending_mutex_; // dewlint: lock-order net-client-pending 110
-    std::unordered_map<std::uint64_t, std::promise<frame>> pending_;
-    std::unordered_map<std::uint64_t, inflight_span> inflight_spans_;
+    std::unordered_map<std::uint64_t, pending_request> pending_;
     bool dead_{false};
     std::exception_ptr death_;
 };
-
-// --- submission --------------------------------------------------------------
-
-submission::submission(std::future<frame> response,
-                       std::shared_ptr<client_core> core, std::uint64_t id)
-    : frame_{std::move(response)}, core_{std::move(core)}, id_{id} {}
-
-serve::service_result submission::get() {
-    const frame response =
-        client_core::expect(frame_.get(), message_type::result);
-    return decode_result(response.payload);
-}
-
-bool submission::cancel() {
-    if (!core_) {
-        return false;
-    }
-    const frame response = core_->roundtrip(message_type::cancel,
-                                            encode_cancel_target(id_),
-                                            message_type::cancel_ok);
-    return decode_flag(response.payload);
-}
 
 // --- client ------------------------------------------------------------------
 
@@ -305,6 +274,14 @@ std::array<std::uint64_t, 2> generate_trace_id(std::uint64_t frame_id) {
 
 submission client::submit(const trace::trace_digest& digest,
                           const serve::service_request& request) {
+    return submission::adapt([&](serve::completion done) {
+        return submit(digest, request, std::move(done));
+    });
+}
+
+serve::cancel_lever client::submit(const trace::trace_digest& digest,
+                                   const serve::service_request& request,
+                                   serve::completion done) {
     // The frame id is the parent span id, so reserve it before encoding.
     const std::uint64_t id = core_->allocate_id();
     serve::service_request stamped = request;
@@ -319,12 +296,29 @@ submission client::submit(const trace::trace_digest& digest,
     if (stamped.obs_parent_span == 0) {
         stamped.obs_parent_span = id;
     }
-    std::future<frame> response =
-        core_->send_prepared(message_type::submit,
-                             encode_submit({digest, stamped}), id,
-                             "net.client.submit", stamped.obs_trace_hi,
-                             stamped.obs_trace_lo);
-    return submission{std::move(response), core_, id};
+    core_->send_prepared(
+        message_type::submit, encode_submit({digest, stamped}), id,
+        [done = std::move(done)](frame response, std::exception_ptr error) {
+            serve::service_result result;
+            if (!error) {
+                try {
+                    result = decode_result(
+                        client_core::expect(std::move(response),
+                                            message_type::result)
+                            .payload);
+                } catch (...) {
+                    error = std::current_exception();
+                }
+            }
+            done(std::move(result), std::move(error));
+        },
+        "net.client.submit", stamped.obs_trace_hi, stamped.obs_trace_lo);
+    return [core = core_, id] {
+        const frame response = core->roundtrip(message_type::cancel,
+                                               encode_cancel_target(id),
+                                               message_type::cancel_ok);
+        return decode_flag(response.payload);
+    };
 }
 
 std::vector<obs::metric> client::metrics() {

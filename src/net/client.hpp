@@ -1,25 +1,25 @@
 // net::client — the caller's side of the wire, shaped like the in-process
-// service.  submit() returns a net::submission with the exact surface of
-// serve::submission (get / wait / wait_for / valid / cancel), and get()
-// either returns the serve::service_result the server computed or throws
-// the same exception a local submit would have — the error-frame fault
-// mapping (net/wire.hpp) reproduces exception types across the process
-// boundary, so retry logic written against serve::classify_fault works
-// unchanged against a remote service.
+// service.  submit() returns the very serve::submission type the service
+// hands out (get / wait / wait_for / valid / cancel), or calls a
+// serve::completion, and either way the answer is the
+// serve::service_result the server computed or the same exception a local
+// submit would have produced — the error-frame fault mapping
+// (net/wire.hpp) reproduces exception types across the process boundary,
+// so retry logic written against serve::classify_fault works unchanged
+// against a remote service.
 //
 // One client is one connection.  A writer mutex serialises request frames;
-// a single reader thread dispatches response frames to their waiting
-// callers by correlation id, so any number of threads can submit/ping/query
-// through one client concurrently and submissions overlap on the wire.  If
-// the transport dies, every outstanding and future call fails with
-// socket_error (transient under classify_fault — connection loss is
-// retryable, unlike a protocol violation).
+// a single reader thread settles each response frame's pending completion
+// by correlation id (futures are adapters over those completions), so any
+// number of threads can submit/ping/query through one client concurrently
+// and submissions overlap on the wire.  If the transport dies, every
+// outstanding and future call fails with socket_error (transient under
+// classify_fault — connection loss is retryable, unlike a protocol
+// violation).
 #ifndef DEW_NET_CLIENT_HPP
 #define DEW_NET_CLIENT_HPP
 
-#include <chrono>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,40 +34,11 @@
 
 namespace dew::net {
 
-class client;
 class client_core; // shared connection state (net/client.cpp)
 
-// The remote analogue of serve::submission.  Movable, not copyable.
-class submission {
-public:
-    submission() = default;
-
-    // Blocks for the response frame; returns the result or rethrows the
-    // server-side fault (or socket_error when the connection died first).
-    [[nodiscard]] serve::service_result get();
-    void wait() const { frame_.wait(); }
-    template <class Rep, class Period>
-    [[nodiscard]] std::future_status
-    wait_for(const std::chrono::duration<Rep, Period>& timeout) const {
-        return frame_.wait_for(timeout);
-    }
-    [[nodiscard]] bool valid() const noexcept { return frame_.valid(); }
-
-    // Sends a cancel frame for this submission and waits for the ack.
-    // Returns true iff the server's cancel landed before the flight
-    // settled; the submission's own response (the cancellation fault, or
-    // the answer if it won the race) still arrives through get().
-    bool cancel();
-
-private:
-    friend class client;
-    submission(std::future<frame> response, std::shared_ptr<client_core> core,
-               std::uint64_t id);
-
-    std::future<frame> frame_;
-    std::shared_ptr<client_core> core_;
-    std::uint64_t id_{0};
-};
+// The remote handle is the in-process one; its cancel() is a cancel-frame
+// round trip, and get() throws socket_error if the connection died first.
+using submission = serve::submission;
 
 class client {
 public:
@@ -95,6 +66,16 @@ public:
     // travel.
     [[nodiscard]] submission submit(const trace::trace_digest& digest,
                                     const serve::service_request& request);
+
+    // The completion form, which the future form adapts: `done` runs on
+    // the reader thread once the answer arrives (after the net.client.submit
+    // span is recorded), or with socket_error on the thread that closes the
+    // connection; no client lock held, throws trapped.  It must not wait on
+    // another answer from this client: it occupies the thread that delivers
+    // them.
+    [[nodiscard]] serve::cancel_lever
+    submit(const trace::trace_digest& digest,
+           const serve::service_request& request, serve::completion done);
 
     [[nodiscard]] serve::service_stats stats();
 

@@ -20,7 +20,7 @@ struct backend {
     std::unique_ptr<client> connection;
     std::atomic<bool> healthy{true};
     std::atomic<std::size_t> inflight{0};
-    // Submit round trips through this backend: send → answer consumed (the
+    // Submit round trips through this backend: send → answer arrived (the
     // guard's lifetime, which is what the saturation skip also measures).
     obs::histogram roundtrip;
 };
@@ -162,6 +162,32 @@ struct router::state {
         return *backends[index];
     }
 
+    void mark_down(backend& node) {
+        node.healthy.store(false, std::memory_order_release);
+        ctrs.marked_down.fetch_add(1, std::memory_order_relaxed);
+    }
+
+    // Runs op(index, node) on every healthy backend; one whose connection
+    // dies during it is marked down and skipped.  Returns the last such
+    // transport fault (null when none).
+    template <class Op>
+    std::exception_ptr for_each_healthy(Op&& op) {
+        std::exception_ptr fault;
+        for (std::size_t index = 0; index < backends.size(); ++index) {
+            backend& node = *backends[index];
+            if (!node.healthy.load(std::memory_order_acquire)) {
+                continue;
+            }
+            try {
+                op(index, node);
+            } catch (const socket_error&) {
+                mark_down(node);
+                fault = std::current_exception();
+            }
+        }
+        return fault;
+    }
+
     // Clockwise walk from the key's ring position to the first usable
     // backend, counting what it passes over (down vs. saturated).  Throws
     // service_overloaded when the whole fleet is down or saturated —
@@ -215,22 +241,14 @@ std::size_t router::backend_count() const noexcept {
 trace::trace_digest router::register_trace(const trace::mem_trace& records) {
     bool any = false;
     trace::trace_digest digest{};
-    std::exception_ptr last_fault;
-    for (const auto& node : state_->backends) {
-        if (!node->healthy.load(std::memory_order_acquire)) {
-            continue;
-        }
-        try {
-            digest = node->connection->register_trace(records);
+    const std::exception_ptr fault =
+        state_->for_each_healthy([&](std::size_t, backend& node) {
+            digest = node.connection->register_trace(records);
             any = true;
-        } catch (const socket_error&) {
-            node->healthy.store(false, std::memory_order_release);
-            last_fault = std::current_exception();
-        }
-    }
+        });
     if (!any) {
-        if (last_fault) {
-            std::rethrow_exception(last_fault);
+        if (fault) {
+            std::rethrow_exception(fault);
         }
         throw serve::service_overloaded{"no healthy backend to register on"};
     }
@@ -239,11 +257,25 @@ trace::trace_digest router::register_trace(const trace::mem_trace& records) {
 
 routed_submission router::submit(const trace::trace_digest& digest,
                                  const serve::service_request& request) {
+    routed_ticket ticket;
+    submission inner = submission::adapt([&](serve::completion done) {
+        ticket = submit(digest, request, std::move(done));
+        return ticket.cancel;
+    });
+    return routed_submission{std::move(inner), std::move(ticket)};
+}
+
+routed_ticket router::submit(const trace::trace_digest& digest,
+                             const serve::service_request& request,
+                             serve::completion done) {
     state& s = *state_;
     s.ctrs.submitted.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t point =
         key_point(digest, serve::fingerprint(request));
     std::vector<std::size_t> attempted;
+    // Shared across attempts: a failed send destroys its attempt's
+    // completion, and the next attempt needs `done` again.
+    const auto answer = std::make_shared<serve::completion>(std::move(done));
     for (;;) {
         std::size_t index = 0;
         {
@@ -256,10 +288,11 @@ routed_submission router::submit(const trace::trace_digest& digest,
         }
         backend& node = s.at(index);
         node.inflight.fetch_add(1, std::memory_order_acq_rel);
-        // The guard outlives the submission handle the caller holds, so
-        // "in flight" means "answer not yet consumed" — the load measure
+        // "In flight" means "answer not yet arrived" — the load measure
         // the saturation skip needs, and the window the backend round-trip
-        // span covers.
+        // span covers.  The guard rides in the completion and is released
+        // before the caller's completion runs (or with the completion, if
+        // the send fails and it never runs).
         const std::uint64_t sent_ns = obs::timestamp_if_enabled();
         std::shared_ptr<void> guard{
             static_cast<void*>(&node),
@@ -276,35 +309,31 @@ routed_submission router::submit(const trace::trace_digest& digest,
                 }
             }};
         try {
-            return routed_submission{
-                node.connection->submit(digest, request), std::move(guard),
-                index, std::move(attempted)};
+            serve::cancel_lever cancel = node.connection->submit(
+                digest, request,
+                [guard = std::move(guard),
+                 answer](serve::service_result result,
+                         std::exception_ptr error) mutable {
+                    guard.reset();
+                    (*answer)(std::move(result), std::move(error));
+                });
+            return {index, std::move(attempted), std::move(cancel)};
         } catch (const socket_error&) {
             // Connection died at send time: mark it down and re-walk — the
             // key now belongs to the next arc.
-            node.healthy.store(false, std::memory_order_release);
+            s.mark_down(node);
             attempted.push_back(index);
             s.ctrs.failovers.fetch_add(1, std::memory_order_relaxed);
-            s.ctrs.marked_down.fetch_add(1, std::memory_order_relaxed);
         }
     }
 }
 
 bool router::has_trace(const trace::trace_digest& digest) {
-    for (const auto& node : state_->backends) {
-        if (!node->healthy.load(std::memory_order_acquire)) {
-            continue;
-        }
-        try {
-            if (node->connection->has_trace(digest)) {
-                return true;
-            }
-        } catch (const socket_error&) {
-            node->healthy.store(false, std::memory_order_release);
-            state_->ctrs.marked_down.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-    return false;
+    bool found = false;
+    (void)state_->for_each_healthy([&](std::size_t, backend& node) {
+        found = found || node.connection->has_trace(digest);
+    });
+    return found;
 }
 
 std::size_t router::backend_of(const trace::trace_digest& digest,
@@ -338,30 +367,12 @@ serve::service_stats router::stats_of(std::size_t index) {
 serve::service_stats router::total_stats() {
     serve::service_stats total{};
     for (std::size_t index = 0; index < state_->backends.size(); ++index) {
-        if (!healthy(index)) {
-            continue;
+        if (healthy(index)) {
+            const serve::service_stats stats = stats_of(index);
+            for (const auto& [name, field] : serve::service_stats_fields) {
+                total.*field += stats.*field;
+            }
         }
-        const serve::service_stats stats = stats_of(index);
-        total.submitted += stats.submitted;
-        total.completed += stats.completed;
-        total.cache_hits += stats.cache_hits;
-        total.coalesced += stats.coalesced;
-        total.computations += stats.computations;
-        total.shard_jobs += stats.shard_jobs;
-        total.stream_builds += stats.stream_builds;
-        total.stream_reuses += stats.stream_reuses;
-        total.rejected += stats.rejected;
-        total.representative_served += stats.representative_served;
-        total.exact_fallbacks += stats.exact_fallbacks;
-        total.cache_evictions += stats.cache_evictions;
-        total.timeouts += stats.timeouts;
-        total.cancellations += stats.cancellations;
-        total.retries += stats.retries;
-        total.retry_successes += stats.retry_successes;
-        total.transient_faults += stats.transient_faults;
-        total.permanent_faults += stats.permanent_faults;
-        total.degraded_served += stats.degraded_served;
-        total.expired_flights += stats.expired_flights;
     }
     return total;
 }
@@ -378,19 +389,8 @@ std::vector<obs::metric> router::metrics() {
     // the exporters rely on, plus every per-backend series re-tagged.
     std::map<std::string, obs::metric> fleet;
     std::vector<obs::metric> out;
-    for (std::size_t index = 0; index < state_->backends.size(); ++index) {
-        backend& node = state_->at(index);
-        if (!node.healthy.load(std::memory_order_acquire)) {
-            continue;
-        }
-        std::vector<obs::metric> snap;
-        try {
-            snap = node.connection->metrics();
-        } catch (const socket_error&) {
-            node.healthy.store(false, std::memory_order_release);
-            state_->ctrs.marked_down.fetch_add(1, std::memory_order_relaxed);
-            continue;
-        }
+    (void)state_->for_each_healthy([&](std::size_t index, backend& node) {
+        std::vector<obs::metric> snap = node.connection->metrics();
         const std::string prefix = "backend." + std::to_string(index) + ".";
         for (obs::metric& m : snap) {
             const auto [slot, fresh] = fleet.try_emplace("fleet." + m.name, m);
@@ -411,7 +411,7 @@ std::vector<obs::metric> router::metrics() {
             m.name = prefix + m.name;
             out.push_back(std::move(m));
         }
-    }
+    });
     for (auto& [name, m] : fleet) {
         (void)name;
         out.push_back(std::move(m));
@@ -425,20 +425,10 @@ std::vector<obs::metric> router::metrics() {
 
 std::vector<obs::request_event> router::events() {
     std::vector<obs::request_event> out;
-    for (std::size_t index = 0; index < state_->backends.size(); ++index) {
-        backend& node = state_->at(index);
-        if (!node.healthy.load(std::memory_order_acquire)) {
-            continue;
-        }
-        try {
-            std::vector<obs::request_event> ring =
-                node.connection->events();
-            out.insert(out.end(), ring.begin(), ring.end());
-        } catch (const socket_error&) {
-            node.healthy.store(false, std::memory_order_release);
-            state_->ctrs.marked_down.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
+    (void)state_->for_each_healthy([&out](std::size_t, backend& node) {
+        const std::vector<obs::request_event> ring = node.connection->events();
+        out.insert(out.end(), ring.begin(), ring.end());
+    });
     return out;
 }
 

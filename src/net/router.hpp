@@ -55,37 +55,26 @@ struct router_options {
     std::size_t max_inflight_per_backend{0};
 };
 
-// The handle router::submit returns: the backend submission plus the RAII
-// in-flight accounting the saturation check reads.
-class routed_submission {
+// Where the completion form of router::submit sent a request, and the
+// lever to withdraw it.
+struct routed_ticket {
+    // Which backend (index into router_options::backends) took it.
+    std::size_t backend{0};
+    // Backends tried and marked down before `backend` accepted, in attempt
+    // order — empty on the no-failover fast path.
+    std::vector<std::size_t> attempted;
+    serve::cancel_lever cancel;
+};
+
+// The future form's handle: the submission plus where it went.  The
+// in-flight window (the backend's load count and the
+// net.router.backend_rt span) closes when the answer arrives, before the
+// future is set, so the span nests inside whatever hop waits on us.
+class routed_submission : public submission {
 public:
     routed_submission() = default;
 
-    // Consuming the answer (either way) ends the in-flight window: the
-    // guard release decrements the backend's load count and closes the
-    // net.router.backend_rt span *before* the caller can act on the
-    // result, so the span nests inside whatever hop is waiting on us.
-    [[nodiscard]] serve::service_result get() {
-        try {
-            serve::service_result result = inner_.get();
-            guard_.reset();
-            return result;
-        } catch (...) {
-            guard_.reset();
-            throw;
-        }
-    }
-    void wait() const { inner_.wait(); }
-    [[nodiscard]] bool valid() const noexcept { return inner_.valid(); }
-    bool cancel() { return inner_.cancel(); }
-
-    // Which backend (index into router_options::backends) answered.
     [[nodiscard]] std::size_t backend() const noexcept { return backend_; }
-
-    // Backends that were tried and marked down before backend() accepted,
-    // in attempt order — empty on the no-failover fast path.  A request
-    // served via fallback therefore carries both the attempted and the
-    // serving backend ids.
     [[nodiscard]] const std::vector<std::size_t>&
     attempted() const noexcept {
         return attempted_;
@@ -93,13 +82,10 @@ public:
 
 private:
     friend class router;
-    routed_submission(submission inner, std::shared_ptr<void> guard,
-                      std::size_t backend, std::vector<std::size_t> attempted)
-        : inner_{std::move(inner)}, guard_{std::move(guard)},
-          backend_{backend}, attempted_{std::move(attempted)} {}
+    routed_submission(submission inner, routed_ticket ticket)
+        : submission{std::move(inner)}, backend_{ticket.backend},
+          attempted_{std::move(ticket.attempted)} {}
 
-    submission inner_;
-    std::shared_ptr<void> guard_; // decrements the backend's in-flight count
     std::size_t backend_{0};
     std::vector<std::size_t> attempted_;
 };
@@ -135,6 +121,13 @@ public:
     submit(const trace::trace_digest& digest,
            const serve::service_request& request);
 
+    // The completion form, which the future form adapts: `done` runs on
+    // the backend connection's reader (net::client's contract), after the
+    // in-flight slot and the net.router.backend_rt span are released.
+    [[nodiscard]] routed_ticket submit(const trace::trace_digest& digest,
+                                       const serve::service_request& request,
+                                       serve::completion done);
+
     // The backend submit() would choose right now for this key — exposed
     // so tests can predict the partition.  Throws like submit on an
     // exhausted fleet.
@@ -146,7 +139,7 @@ public:
     void mark_healthy(std::size_t backend);
     [[nodiscard]] std::size_t inflight(std::size_t backend) const;
 
-    // Per-backend and fleet-summed service counters.
+    // Per-backend and fleet-summed service_stats (every field adds).
     [[nodiscard]] serve::service_stats stats_of(std::size_t backend);
     [[nodiscard]] serve::service_stats total_stats();
 

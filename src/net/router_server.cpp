@@ -1,74 +1,33 @@
 #include "net/router_server.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <list>
-#include <mutex>
+#include <functional>
 #include <stdexcept>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "net/socket.hpp"
-#include "net/wire.hpp"
+#include "net/frame_server.hpp"
 #include "obs/registry.hpp"
 
 namespace dew::net {
 
-namespace {
-
-// One accepted connection — the same shape as net::server's, with pending
-// routed submissions instead of service submissions.
-struct connection {
-    socket_fd fd;
-    std::mutex write_mutex; // dewlint: lock-order net-conn-write 100
-    std::thread handler;
-
-    std::mutex pending_mutex; // dewlint: lock-order net-conn-pending 90
-    std::unordered_map<std::uint64_t, std::shared_ptr<routed_submission>>
-        pending;
-    std::vector<std::thread> waiters;
-
-    void send(message_type type, std::uint64_t id, std::string_view payload) {
-        const std::string bytes = encode_frame(type, id, payload);
-        const std::lock_guard lock{write_mutex};
-        write_all(fd, bytes.data(), bytes.size());
-    }
-
-    void send_fault(std::uint64_t id, const std::exception_ptr& error) {
-        send(message_type::error, id, encode_error(describe_fault(error)));
-    }
-};
-
-} // namespace
-
+// The owned router plus its dispatch table over one frame_server.
 struct router_server::state {
     router_server_options options;
     router route;
-
-    socket_fd listener;
-    std::uint16_t bound_port{0};
-    std::thread acceptor;
-    std::atomic<bool> stopping{false};
-    std::atomic<bool> stopped{false};
-
-    std::mutex connections_mutex; // dewlint: lock-order net-connections 80
-    std::list<std::shared_ptr<connection>> connections;
+    // Last: it starts accepting once the router is connected, and is
+    // stopped (its readers joined) before the router is destroyed.
+    frame_server frames;
 
     explicit state(router_server_options opts)
-        : options{std::move(opts)}, route{options.route} {
-        listener = listen_on(options.host, options.port, bound_port);
-    }
+        : options{std::move(opts)}, route{options.route},
+          frames{options.host, options.port,
+                 std::bind_front(&state::dispatch, this)} {}
 
-    void dispatch(connection& conn, const frame_header& header,
+    void dispatch(frame_connection& conn, const frame_header& header,
                   const std::string& payload) {
         const std::uint64_t id = header.id;
         switch (header.type) {
-        case message_type::ping:
-            conn.send(message_type::pong, id, {});
-            return;
         case message_type::register_trace: {
             const trace::trace_digest digest =
                 route.register_trace(decode_records(payload));
@@ -79,21 +38,17 @@ struct router_server::state {
             conn.send(message_type::has_ok, id,
                       encode_flag(route.has_trace(decode_digest(payload))));
             return;
-        case message_type::submit:
-            start_submission(conn, id, decode_submit(payload));
-            return;
-        case message_type::cancel: {
-            const std::uint64_t target = decode_cancel_target(payload);
-            std::shared_ptr<routed_submission> pending;
-            {
-                const std::lock_guard lock{conn.pending_mutex};
-                const auto found = conn.pending.find(target);
-                if (found != conn.pending.end()) {
-                    pending = found->second;
-                }
-            }
-            const bool cancelled = pending && pending->cancel();
-            conn.send(message_type::cancel_ok, id, encode_flag(cancelled));
+        case message_type::submit: {
+            // The original client stamped the trace context (and its own
+            // frame id as obs_parent_span); the backend hop forwards it
+            // verbatim — re-stamping here would cut the trace at the
+            // router.
+            const submit_message message = decode_submit(payload);
+            conn.answer(id, [&](serve::completion done) {
+                return route
+                    .submit(message.digest, message.request, std::move(done))
+                    .cancel;
+            });
             return;
         }
         case message_type::stats:
@@ -142,183 +97,18 @@ struct router_server::state {
                              std::string{to_string(header.type)}};
         }
     }
-
-    void start_submission(connection& conn, std::uint64_t id,
-                          submit_message message) {
-        // The original client stamped the trace context (and its own frame
-        // id as obs_parent_span); the backend hop forwards it verbatim —
-        // re-stamping here would cut the trace at the router.
-        auto pending = std::make_shared<routed_submission>(
-            route.submit(message.digest, message.request));
-        const std::lock_guard lock{conn.pending_mutex};
-        conn.pending.emplace(id, pending);
-        conn.waiters.emplace_back([&conn, id, pending] {
-            wait_and_respond(conn, id, *pending);
-        });
-    }
-
-    // dewlint: thread-body wait_and_respond
-    static void wait_and_respond(connection& conn, std::uint64_t id,
-                                 routed_submission& pending) {
-        try {
-            std::string payload;
-            message_type type = message_type::result;
-            try {
-                payload = encode_result(pending.get());
-            } catch (...) {
-                type = message_type::error;
-                payload =
-                    encode_error(describe_fault(std::current_exception()));
-            }
-            {
-                const std::lock_guard lock{conn.pending_mutex};
-                conn.pending.erase(id);
-            }
-            conn.send(type, id, payload);
-        } catch (...) {
-            // socket_error: the requester's connection died while the
-            // backend answered; the read side tears the connection down.
-            // A waiter thread must never leak a throw into std::terminate.
-        }
-    }
-
-    // dewlint: thread-body serve_connection
-    void serve_connection(connection& conn) {
-        try {
-            std::string header_bytes(frame_header_bytes, '\0');
-            for (;;) {
-                const std::size_t got = read_socket(
-                    conn.fd, header_bytes.data(), header_bytes.size());
-                if (got != header_bytes.size()) {
-                    break; // clean or torn EOF, or stop() closed us
-                }
-                frame_header header;
-                try {
-                    header = parse_header(header_bytes);
-                } catch (const wire_error&) {
-                    try_send_fault(conn, 0, std::current_exception());
-                    break;
-                }
-                std::string payload(
-                    static_cast<std::size_t>(header.payload_bytes), '\0');
-                if (read_socket(conn.fd, payload.data(), payload.size()) !=
-                    payload.size()) {
-                    break;
-                }
-                try {
-                    dispatch(conn, header, payload);
-                } catch (const socket_error&) {
-                    break; // requester's write side died
-                } catch (...) {
-                    if (!try_send_fault(conn, header.id,
-                                        std::current_exception())) {
-                        break;
-                    }
-                }
-            }
-        } catch (...) {
-            // Allocation failure building a buffer or reply: nothing left
-            // to say on this connection, and a handler thread must never
-            // leak a throw into std::terminate.
-        }
-        conn.fd.close();
-    }
-
-    static std::size_t read_socket(const socket_fd& fd, void* data,
-                                   std::size_t size) {
-        try {
-            return read_exact(fd, data, size);
-        } catch (const socket_error&) {
-            return 0; // closed under us (stop()) or reset: both mean EOF
-        }
-    }
-
-    static bool try_send_fault(connection& conn, std::uint64_t id,
-                               const std::exception_ptr& error) {
-        try {
-            conn.send_fault(id, error);
-            return true;
-        } catch (const socket_error&) {
-            return false;
-        }
-    }
-
-    // dewlint: thread-body accept_loop
-    void accept_loop() {
-        try {
-            while (!stopping.load(std::memory_order_acquire)) {
-                socket_fd accepted;
-                try {
-                    accepted = accept_on(listener);
-                } catch (const socket_error&) {
-                    break; // listener closed by stop()
-                }
-                auto conn = std::make_shared<connection>();
-                conn->fd = std::move(accepted);
-                {
-                    const std::lock_guard lock{connections_mutex};
-                    connections.push_back(conn);
-                }
-                conn->handler = std::thread{[this, conn] {
-                    serve_connection(*conn);
-                }};
-            }
-        } catch (...) {
-            // Out of memory or threads wiring a fresh connection: stop
-            // accepting; established connections keep being served and
-            // stop() still closes and joins everything.
-        }
-    }
-
-    void stop() {
-        if (stopped.exchange(true)) {
-            return;
-        }
-        stopping.store(true, std::memory_order_release);
-        listener.close();
-        if (acceptor.joinable()) {
-            acceptor.join();
-        }
-        std::list<std::shared_ptr<connection>> to_join;
-        {
-            const std::lock_guard lock{connections_mutex};
-            to_join.swap(connections);
-        }
-        for (const auto& conn : to_join) {
-            conn->fd.close();
-        }
-        for (const auto& conn : to_join) {
-            if (conn->handler.joinable()) {
-                conn->handler.join();
-            }
-            // The handler is down, so `waiters` is stable now.
-            for (std::thread& waiter : conn->waiters) {
-                if (waiter.joinable()) {
-                    waiter.join();
-                }
-            }
-        }
-    }
 };
 
-router_server::router_server(router_server_options options) {
-    state_ = std::make_unique<state>(std::move(options));
-    state_->acceptor = std::thread{[state = state_.get()] {
-        state->accept_loop();
-    }};
-}
+router_server::router_server(router_server_options options)
+    : state_{std::make_unique<state>(std::move(options))} {}
 
-router_server::~router_server() {
-    if (state_) {
-        state_->stop();
-    }
-}
+router_server::~router_server() = default;
 
 std::uint16_t router_server::port() const noexcept {
-    return state_->bound_port;
+    return state_->frames.port();
 }
 
-void router_server::stop() { state_->stop(); }
+void router_server::stop() { state_->frames.stop(); }
 
 router& router_server::route() noexcept { return state_->route; }
 

@@ -24,8 +24,12 @@
 //     caches are per-backend (handoff() moves them backend-to-backend);
 //     a whole-fleet image would splice inconsistent shards.
 //
-// Failure discipline is net::server's: bad header → error + close, bad
-// payload → error + keep serving, service fault → typed error frame.
+// Like net::server it is a dispatch table over net::frame_server, whose
+// failure discipline it shares.  A routed submit's completion runs on the
+// router's backend-client reader thread once the backend answers — after
+// the in-flight slot and the net.router.backend_rt span are released —
+// and writes the requester's reply frame there: no thread waits per
+// pending answer.
 #ifndef DEW_NET_ROUTER_SERVER_HPP
 #define DEW_NET_ROUTER_SERVER_HPP
 

@@ -1,73 +1,37 @@
 #include "net/server.hpp"
 
-#include <atomic>
-#include <exception>
-#include <list>
-#include <mutex>
+#include <functional>
 #include <optional>
 #include <sstream>
-#include <thread>
-#include <unordered_map>
+#include <stdexcept>
 #include <utility>
-#include <vector>
 
-#include "net/socket.hpp"
-#include "net/wire.hpp"
+#include "net/frame_server.hpp"
 #include "obs/registry.hpp"
 #include "trace/corpus.hpp"
 #include "trace/digest.hpp"
 
 namespace dew::net {
 
-namespace {
-
-// One accepted connection: its socket, the serialised write side (the
-// handler and every waiter thread respond on the same stream), and the
-// in-flight submissions addressable by `cancel` frames.
-struct connection {
-    socket_fd fd;
-    std::mutex write_mutex; // dewlint: lock-order net-conn-write 100
-    std::thread handler;
-
-    std::mutex pending_mutex; // dewlint: lock-order net-conn-pending 90
-    std::unordered_map<std::uint64_t, std::shared_ptr<serve::submission>>
-        pending;
-    std::vector<std::thread> waiters;
-
-    void send(message_type type, std::uint64_t id, std::string_view payload) {
-        const std::string bytes = encode_frame(type, id, payload);
-        const std::lock_guard lock{write_mutex};
-        write_all(fd, bytes.data(), bytes.size());
-    }
-
-    void send_fault(std::uint64_t id, const std::exception_ptr& error) {
-        send(message_type::error, id, encode_error(describe_fault(error)));
-    }
-};
-
-} // namespace
-
+// The served service plus its dispatch table over one frame_server.
 struct server::state {
     server_options options;
     serve::service service;
     std::optional<trace::corpus_registry> corpus;
-
-    socket_fd listener;
-    std::uint16_t bound_port{0};
-    std::thread acceptor;
-    std::atomic<bool> stopping{false};
-    std::atomic<bool> stopped{false};
-
-    std::mutex connections_mutex; // dewlint: lock-order net-connections 80
-    std::list<std::shared_ptr<connection>> connections;
+    // Last: it starts accepting once everything dispatch touches exists,
+    // and is stopped (its readers joined) before any of it is destroyed.
+    frame_server frames;
 
     explicit state(server_options opts)
-        : options{std::move(opts)}, service{options.service} {
-        if (!options.corpus_dir.empty()) {
-            corpus.emplace(options.corpus_dir);
-        }
-        listener = listen_on(options.host, options.port, bound_port);
-    }
+        : options{std::move(opts)}, service{options.service},
+          corpus{options.corpus_dir.empty()
+                     ? std::nullopt
+                     : std::optional{trace::corpus_registry{
+                           options.corpus_dir}}},
+          frames{options.host, options.port,
+                 std::bind_front(&state::dispatch, this)} {}
+
+    ~state() { stop(); }
 
     // Registers `records` with the service (and the corpus, if one is
     // configured) and returns the digest.  The service-side trace name IS
@@ -96,13 +60,10 @@ struct server::state {
         return false;
     }
 
-    void dispatch(connection& conn, const frame_header& header,
+    void dispatch(frame_connection& conn, const frame_header& header,
                   const std::string& payload) {
         const std::uint64_t id = header.id;
         switch (header.type) {
-        case message_type::ping:
-            conn.send(message_type::pong, id, {});
-            return;
         case message_type::register_trace: {
             const trace::trace_digest digest =
                 register_records(decode_records(payload));
@@ -116,23 +77,28 @@ struct server::state {
             conn.send(message_type::has_ok, id, encode_flag(present));
             return;
         }
-        case message_type::submit:
-            start_submission(conn, id, decode_submit(payload));
-            return;
-        case message_type::cancel: {
-            const std::uint64_t target = decode_cancel_target(payload);
-            std::shared_ptr<serve::submission> pending;
-            {
-                const std::lock_guard lock{conn.pending_mutex};
-                const auto found = conn.pending.find(target);
-                if (found != conn.pending.end()) {
-                    pending = found->second;
-                }
+        case message_type::submit: {
+            submit_message message = decode_submit(payload);
+            if (!ensure_trace(message.digest)) {
+                throw std::invalid_argument{
+                    "unknown trace digest " + to_string(message.digest) +
+                    " (register_trace it, or configure a corpus that holds "
+                    "it)"};
             }
-            // The waiter thread still answers the submit frame (with the
-            // cancellation fault); this only acks the withdrawal.
-            const bool cancelled = pending && pending->cancel();
-            conn.send(message_type::cancel_ok, id, encode_flag(cancelled));
+            // Stamp the parent span id as the request's span-correlation
+            // tag: for a direct client that is this frame's id (the client
+            // recorded its submit span under it, so the two timelines
+            // stitch), and on a router's backend hop it is the *original*
+            // client's frame id, forwarded in the payload — the whole
+            // chain correlates to one requester-side span.
+            message.request.obs_correlation =
+                message.request.obs_parent_span != 0
+                    ? message.request.obs_parent_span
+                    : id;
+            conn.answer(id, [&](serve::completion done) {
+                return service.submit(to_string(message.digest),
+                                      message.request, std::move(done));
+            });
             return;
         }
         case message_type::stats:
@@ -177,202 +143,20 @@ struct server::state {
         }
     }
 
-    void start_submission(connection& conn, std::uint64_t id,
-                          submit_message message) {
-        if (!ensure_trace(message.digest)) {
-            throw std::invalid_argument{
-                "unknown trace digest " + to_string(message.digest) +
-                " (register_trace it, or configure a corpus that holds it)"};
-        }
-        // Stamp the parent span id as the request's span-correlation tag:
-        // for a direct client that is this frame's id (the client recorded
-        // its submit span under it, so the two timelines stitch), and on a
-        // router's backend hop it is the *original* client's frame id,
-        // forwarded in the payload — the whole chain correlates to one
-        // requester-side span.
-        message.request.obs_correlation =
-            message.request.obs_parent_span != 0
-                ? message.request.obs_parent_span
-                : id;
-        auto pending = std::make_shared<serve::submission>(
-            service.submit(to_string(message.digest), message.request));
-        const std::lock_guard lock{conn.pending_mutex};
-        conn.pending.emplace(id, pending);
-        conn.waiters.emplace_back([this, &conn, id, pending] {
-            wait_and_respond(conn, id, *pending);
-        });
-    }
-
-    // dewlint: thread-body wait_and_respond
-    void wait_and_respond(connection& conn, std::uint64_t id,
-                          serve::submission& pending) {
-        try {
-            std::string payload;
-            message_type type = message_type::result;
-            try {
-                payload = encode_result(pending.get());
-            } catch (...) {
-                type = message_type::error;
-                payload =
-                    encode_error(describe_fault(std::current_exception()));
-            }
-            {
-                const std::lock_guard lock{conn.pending_mutex};
-                conn.pending.erase(id);
-            }
-            conn.send(type, id, payload);
-        } catch (...) {
-            // socket_error: the connection died while the flight ran; the
-            // handler's read side sees the same death and tears the
-            // connection down.  Anything else (an allocation failure
-            // building the reply) equally ends this response — a waiter
-            // thread must never leak a throw into std::terminate.
-        }
-    }
-
-    // dewlint: thread-body serve_connection
-    void serve_connection(connection& conn) {
-        try {
-            std::string header_bytes(frame_header_bytes, '\0');
-            for (;;) {
-                const std::size_t got = read_socket(
-                    conn.fd, header_bytes.data(), header_bytes.size());
-                if (got != header_bytes.size()) {
-                    break; // clean or torn EOF, or stop() closed us
-                }
-                frame_header header;
-                try {
-                    header = parse_header(header_bytes);
-                } catch (const wire_error&) {
-                    // Framing is lost: no way to know where the next frame
-                    // starts.  Report and close (error frames use id 0 —
-                    // no request id is trustworthy).
-                    try_send_fault(conn, 0, std::current_exception());
-                    break;
-                }
-                std::string payload(
-                    static_cast<std::size_t>(header.payload_bytes), '\0');
-                if (read_socket(conn.fd, payload.data(), payload.size()) !=
-                    payload.size()) {
-                    break;
-                }
-                try {
-                    dispatch(conn, header, payload);
-                } catch (const socket_error&) {
-                    break; // write side died; nothing more to say
-                } catch (...) {
-                    // A malformed payload or a service-side fault under
-                    // intact framing: answer on the request's id and keep
-                    // serving.
-                    if (!try_send_fault(conn, header.id,
-                                        std::current_exception())) {
-                        break;
-                    }
-                }
-            }
-        } catch (...) {
-            // Allocating a frame buffer or an error reply failed: there is
-            // nothing useful left to say on this connection, and a handler
-            // thread must never leak a throw into std::terminate.
-        }
-        conn.fd.close();
-    }
-
-    static std::size_t read_socket(const socket_fd& fd, void* data,
-                                   std::size_t size) {
-        try {
-            return read_exact(fd, data, size);
-        } catch (const socket_error&) {
-            return 0; // closed under us (stop()) or reset: both mean EOF here
-        }
-    }
-
-    static bool try_send_fault(connection& conn, std::uint64_t id,
-                               const std::exception_ptr& error) {
-        try {
-            conn.send_fault(id, error);
-            return true;
-        } catch (const socket_error&) {
-            return false;
-        }
-    }
-
-    // dewlint: thread-body accept_loop
-    void accept_loop() {
-        try {
-            while (!stopping.load(std::memory_order_acquire)) {
-                socket_fd accepted;
-                try {
-                    accepted = accept_on(listener);
-                } catch (const socket_error&) {
-                    break; // listener closed by stop()
-                }
-                auto conn = std::make_shared<connection>();
-                conn->fd = std::move(accepted);
-                {
-                    const std::lock_guard lock{connections_mutex};
-                    connections.push_back(conn);
-                }
-                conn->handler = std::thread{[this, conn] {
-                    serve_connection(*conn);
-                }};
-            }
-        } catch (...) {
-            // Out of memory or out of threads while wiring a fresh
-            // connection: stop accepting.  Established connections keep
-            // being served, and stop() still closes and joins everything
-            // (a handler that was never started is simply not joinable).
-        }
-    }
-
     void stop() {
-        if (stopped.exchange(true)) {
-            return;
-        }
-        stopping.store(true, std::memory_order_release);
-        listener.close();
-        if (acceptor.joinable()) {
-            acceptor.join();
-        }
-        // A paused service would park the waiter threads on futures that
-        // can never settle; release it before joining anything.
+        // A reader blocked in a submit on a full queue of a paused service
+        // could never be joined; release the service first.
         service.resume();
-        std::list<std::shared_ptr<connection>> to_join;
-        {
-            const std::lock_guard lock{connections_mutex};
-            to_join.swap(connections);
-        }
-        for (const auto& conn : to_join) {
-            conn->fd.close();
-        }
-        for (const auto& conn : to_join) {
-            if (conn->handler.joinable()) {
-                conn->handler.join();
-            }
-            // The handler is down, so `waiters` is stable now.
-            for (std::thread& waiter : conn->waiters) {
-                if (waiter.joinable()) {
-                    waiter.join();
-                }
-            }
-        }
+        frames.stop();
     }
 };
 
-server::server(server_options options) {
-    state_ = std::make_unique<state>(std::move(options));
-    state_->acceptor = std::thread{[state = state_.get()] {
-        state->accept_loop();
-    }};
-}
+server::server(server_options options)
+    : state_{std::make_unique<state>(std::move(options))} {}
 
-server::~server() {
-    if (state_) {
-        state_->stop();
-    }
-}
+server::~server() = default;
 
-std::uint16_t server::port() const noexcept { return state_->bound_port; }
+std::uint16_t server::port() const noexcept { return state_->frames.port(); }
 
 void server::stop() { state_->stop(); }
 

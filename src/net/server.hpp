@@ -1,30 +1,24 @@
 // net::server — a TCP front over one serve::service.
 //
 // One server owns one service (and optionally a trace::corpus_registry it
-// hydrates traces from on demand).  Each accepted connection gets a handler
-// thread that reads "DSNW" frames (net/wire.hpp) and dispatches them; a
-// `submit` frame becomes a real serve::service::submit — async, coalescing,
-// cached, deadline-bounded — with a waiter thread that ships the settled
-// future back as a `result` or `error` frame.  Responses carry the request
-// frame's id, so one connection multiplexes any number of in-flight
-// submissions; `cancel` frames withdraw them by id.
+// hydrates traces from on demand).  It is a dispatch table over
+// net::frame_server (net/frame_server.hpp), which reads "DSNW" frames
+// (net/wire.hpp) on one reader thread per connection.  A `submit` frame
+// becomes a real serve::service::submit — async, coalescing, cached,
+// deadline-bounded — whose completion writes the `result` or `error`
+// frame on the thread that settles it (a service worker, or the reader
+// itself on a cache hit); no thread waits per pending answer.  Responses
+// carry the request frame's id, so one connection multiplexes any number
+// of in-flight submissions; `cancel` frames withdraw them by id.
 //
-// Failure discipline (mirrors the hardened readers everywhere else):
-//   * A malformed frame *header* is unrecoverable — framing is lost — so the
-//     server answers with an `error` frame (fault_code::protocol, id 0) and
-//     closes that connection.  Other connections and the service are
-//     untouched.
-//   * A malformed *payload* under a valid header is recoverable: the server
-//     answers `error` (protocol, the request's id) and keeps serving the
-//     same connection.
-//   * A request that fails in the service (unknown digest, ill-formed
-//     sweep, overload, timeout, cancellation, engine fault) is answered by
-//     an `error` frame whose fault_code reproduces the exception type
-//     client-side — serve::classify_fault agrees across the wire.
+// Failure discipline is frame_server's.  A request that fails in the
+// service (unknown digest, ill-formed sweep, overload, timeout,
+// cancellation, engine fault) gets an `error` frame whose fault_code
+// reproduces the exception type client-side, so serve::classify_fault
+// agrees across the wire.
 //
 // stop() (also the destructor) closes the listener and every connection,
-// then joins every thread — handlers, waiters, acceptor.  Nothing is ever
-// detached.
+// then joins the acceptor and every reader.  Nothing is ever detached.
 #ifndef DEW_NET_SERVER_HPP
 #define DEW_NET_SERVER_HPP
 
@@ -63,9 +57,10 @@ public:
     [[nodiscard]] std::uint16_t port() const noexcept;
 
     // Closes the listener and all connections, joins every thread.
-    // Idempotent.  In-flight submissions settle first (the service
-    // completes its queue) — a paused service is resumed so stop() cannot
-    // deadlock behind its own workers.
+    // Idempotent.  A paused service is resumed first, so a reader blocked
+    // submitting into its full queue can be joined.  Submissions still in
+    // flight keep running; their answers settle into the closed
+    // connections, which drop them.
     void stop();
 
     // The served service, for in-process observation and staging (tests

@@ -1,10 +1,15 @@
 #include "net/socket.hpp"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <linux/sockios.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -48,6 +53,13 @@ void socket_fd::close() noexcept {
         // number that may be reused.
         (void)::shutdown(fd, SHUT_RDWR);
         (void)::close(fd);
+    }
+}
+
+void socket_fd::shutdown() noexcept {
+    const int fd = get();
+    if (fd >= 0) {
+        (void)::shutdown(fd, SHUT_RDWR);
     }
 }
 
@@ -134,12 +146,30 @@ std::size_t read_exact(const socket_fd& socket, void* data,
     return done;
 }
 
-void write_all(const socket_fd& socket, const void* data, std::size_t size) {
+bool read_payload(const socket_fd& socket, std::uint64_t size,
+                  std::string& out) {
+    constexpr std::size_t chunk = std::size_t{256} << 10;
+    out.clear();
+    while (out.size() < size) {
+        const std::size_t done = out.size();
+        const std::size_t want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(size - done, chunk));
+        out.resize(done + want);
+        if (read_exact(socket, out.data() + done, want) != want) {
+            return false;
+        }
+    }
+    return true;
+}
+
+bool write_all(const socket_fd& socket, const void* data, std::size_t size,
+               std::chrono::steady_clock::time_point deadline) {
     const char* cursor = static_cast<const char*>(data);
     std::size_t done = 0;
+    bool waited = false;
     while (done < size) {
-        const ssize_t put =
-            ::send(socket.get(), cursor + done, size - done, MSG_NOSIGNAL);
+        const ssize_t put = ::send(socket.get(), cursor + done, size - done,
+                                   MSG_NOSIGNAL | MSG_DONTWAIT);
         if (put >= 0) {
             done += static_cast<std::size_t>(put);
             continue;
@@ -147,8 +177,35 @@ void write_all(const socket_fd& socket, const void* data, std::size_t size) {
         if (errno == EINTR) {
             continue;
         }
-        throw socket_error{errno, "send() failed"};
+        if (errno != EAGAIN && errno != EWOULDBLOCK) {
+            throw socket_error{errno, "send() failed"};
+        }
+        // No room: wait for some, until the deadline.
+        waited = true;
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now());
+        pollfd room{socket.get(), POLLOUT, 0};
+        const int ready = ::poll(
+            &room, 1,
+            deadline == std::chrono::steady_clock::time_point::max()
+                ? -1
+                : static_cast<int>(std::max<long long>(left.count(), 0)));
+        if (ready == 0) {
+            throw socket_error{ETIMEDOUT,
+                               "send() timed out: peer is not reading"};
+        }
+        if (ready < 0 && errno != EINTR) {
+            throw socket_error{errno, "poll() failed"};
+        }
     }
+    return waited;
+}
+
+std::size_t unacknowledged_bytes(const socket_fd& socket) {
+    int queued = 0;
+    return ::ioctl(socket.get(), SIOCOUTQ, &queued) == 0 && queued > 0
+               ? static_cast<std::size_t>(queued)
+               : 0;
 }
 
 } // namespace dew::net

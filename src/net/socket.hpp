@@ -1,7 +1,8 @@
 // Thin RAII layer over POSIX TCP sockets — everything src/net/ needs and
 // nothing more: bind/listen/accept/connect on IPv4, full-buffer reads and
-// writes that survive EINTR and partial transfers, and a file-descriptor
-// owner whose close() can be raced safely from another thread to unblock a
+// writes that survive EINTR and partial transfers, payload reads that grow
+// with the bytes that arrive, and a file-descriptor owner whose
+// shutdown()/close() can be raced safely from another thread to unblock a
 // peer stuck in a read (the server's stop path).
 //
 // Failures throw net::socket_error (a std::system_error carrying errno), so
@@ -12,6 +13,7 @@
 #define DEW_NET_SOCKET_HPP
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -51,6 +53,10 @@ public:
     // one blocked in read_exact/write_all.
     void close() noexcept;
 
+    // Shutdown only: every read/write fails or sees EOF, but the descriptor
+    // stays owned, so its number cannot be reused under a late writer.
+    void shutdown() noexcept;
+
 private:
     std::atomic<int> fd_{-1};
 };
@@ -73,9 +79,24 @@ private:
 // socket_error on a transport error.
 std::size_t read_exact(const socket_fd& socket, void* data, std::size_t size);
 
+// Reads `size` bytes into `out`, growing it in bounded chunks as they
+// arrive — a header that promises a gigabyte and then closes costs one
+// chunk, not a gigabyte.  False (`out` partial) at an early EOF;
+// socket_error on a transport fault.
+bool read_payload(const socket_fd& socket, std::uint64_t size,
+                  std::string& out);
+
 // Writes the whole buffer or throws socket_error (EPIPE/reset included —
-// SIGPIPE is suppressed per send).
-void write_all(const socket_fd& socket, const void* data, std::size_t size);
+// SIGPIPE is suppressed per send).  Waiting for room ends at `deadline`
+// with socket_error (ETIMEDOUT), the buffer partly written — a peer that
+// stops reading cannot hold the writer past it.  True iff it had to wait.
+bool write_all(const socket_fd& socket, const void* data, std::size_t size,
+               std::chrono::steady_clock::time_point deadline =
+                   std::chrono::steady_clock::time_point::max());
+
+// Bytes written to `socket` that the peer has not acknowledged yet (0 when
+// the kernel cannot say): 0 means the peer has taken everything sent.
+[[nodiscard]] std::size_t unacknowledged_bytes(const socket_fd& socket);
 
 } // namespace dew::net
 

@@ -646,16 +646,8 @@ serve::service_result decode_result(std::string_view payload) {
 
 std::string encode_stats(const serve::service_stats& stats) {
     std::string out;
-    for (const std::uint64_t value :
-         {stats.submitted, stats.completed, stats.cache_hits, stats.coalesced,
-          stats.computations, stats.shard_jobs, stats.stream_builds,
-          stats.stream_reuses, stats.rejected, stats.representative_served,
-          stats.exact_fallbacks, stats.cache_evictions, stats.timeouts,
-          stats.cancellations, stats.retries, stats.retry_successes,
-          stats.transient_faults, stats.permanent_faults,
-          stats.degraded_served, stats.expired_flights, stats.queue_depth,
-          stats.inflight_flights}) {
-        put_u64(out, value);
+    for (const auto& [name, field] : serve::service_stats_fields) {
+        put_u64(out, stats.*field);
     }
     return out;
 }
@@ -663,28 +655,9 @@ std::string encode_stats(const serve::service_stats& stats) {
 serve::service_stats decode_stats(std::string_view payload) {
     cursor in{payload, "stats_ok"};
     serve::service_stats stats;
-    stats.submitted = in.get_u64("submitted");
-    stats.completed = in.get_u64("completed");
-    stats.cache_hits = in.get_u64("cache_hits");
-    stats.coalesced = in.get_u64("coalesced");
-    stats.computations = in.get_u64("computations");
-    stats.shard_jobs = in.get_u64("shard_jobs");
-    stats.stream_builds = in.get_u64("stream_builds");
-    stats.stream_reuses = in.get_u64("stream_reuses");
-    stats.rejected = in.get_u64("rejected");
-    stats.representative_served = in.get_u64("representative_served");
-    stats.exact_fallbacks = in.get_u64("exact_fallbacks");
-    stats.cache_evictions = in.get_u64("cache_evictions");
-    stats.timeouts = in.get_u64("timeouts");
-    stats.cancellations = in.get_u64("cancellations");
-    stats.retries = in.get_u64("retries");
-    stats.retry_successes = in.get_u64("retry_successes");
-    stats.transient_faults = in.get_u64("transient_faults");
-    stats.permanent_faults = in.get_u64("permanent_faults");
-    stats.degraded_served = in.get_u64("degraded_served");
-    stats.expired_flights = in.get_u64("expired_flights");
-    stats.queue_depth = in.get_u64("queue_depth");
-    stats.inflight_flights = in.get_u64("inflight_flights");
+    for (const auto& [name, field] : serve::service_stats_fields) {
+        stats.*field = in.get_u64(name);
+    }
     in.finish();
     return stats;
 }

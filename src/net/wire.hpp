@@ -213,8 +213,7 @@ std::string encode_submit(const submit_message& message);
 std::string encode_result(const serve::service_result& result);
 [[nodiscard]] serve::service_result decode_result(std::string_view payload);
 
-// stats_ok: the 20 service_stats counters plus the queue_depth /
-// inflight_flights gauges, in declaration order.
+// stats_ok: every service_stats field, in service_stats_fields order.
 std::string encode_stats(const serve::service_stats& stats);
 [[nodiscard]] serve::service_stats decode_stats(std::string_view payload);
 

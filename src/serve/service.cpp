@@ -103,9 +103,9 @@ struct counters {
 
 // One caller of one flight.  `deadline` is absolute (no_deadline = none);
 // `settled` flips exactly once — whichever of answer / fault / timeout /
-// cancel gets there first owns the promise.
+// cancel gets there first moves the completion out and fires it.
 struct waiter {
-    std::promise<service_result> promise;
+    completion done;
     clock::time_point deadline{no_deadline};
     bool settled{false};
     // This caller's own telemetry identity (coalesced waiters each carried
@@ -291,6 +291,74 @@ struct service::state {
         return e;
     }
 
+    // A waiter settled under its flight's lock: the completion to fire and
+    // the wide event to record once the lock is released.
+    struct taken {
+        completion done;
+        obs::request_event event;
+        bool joined{false};
+    };
+
+    // Settles waiter `i` of `f` (f.mutex held).  `settled` flips once, so
+    // the first settle site here owns the completion; cancel levers index
+    // the vector, so waiters are never erased.
+    static taken take(flight& f, std::size_t i, std::uint64_t node,
+                      obs::event_disposition disposition, counters& c) {
+        waiter& w = f.waiters[i];
+        w.settled = true;
+        --f.live;
+        // Before the completion fires: get() must observe `completed`.
+        c.completed.fetch_add(1, std::memory_order_relaxed);
+        obs::request_event e = flight_event(f, node);
+        e.correlation = w.correlation;
+        e.trace_hi = w.trace_hi;
+        e.trace_lo = w.trace_lo;
+        e.disposition = disposition;
+        return {std::move(w.done), e, i > 0};
+    }
+
+    // Every still-live waiter of `f`: the initiator as `first`, coalesced
+    // joiners as `joined`.
+    std::vector<taken> take_live(flight& f, obs::event_disposition first,
+                                 obs::event_disposition joined) {
+        std::vector<taken> batch;
+        const std::lock_guard<std::mutex> lock{f.mutex};
+        batch.reserve(f.live);
+        for (std::size_t i = 0; i < f.waiters.size(); ++i) {
+            if (!f.waiters[i].settled) {
+                batch.push_back(take(f, i, options.node_id,
+                                     i > 0 ? joined : first, *ctrs));
+            }
+        }
+        return batch;
+    }
+
+    // Every settle site's delivery, with no lock held: all wide events,
+    // then each completion (`error`, or `answer` flagged per waiter).  A
+    // completion may send the reply and so close the requester's span;
+    // telemetry after it would fall outside that span (obs.stitch_test and
+    // obs.fleet_test prove the containment).
+    static void deliver(const std::vector<taken>& batch,
+                        obs::event_ring& ring, obs::slo_window& window,
+                        const std::exception_ptr& error,
+                        const service_result& answer = {}) {
+        for (const taken& t : batch) {
+            settle_event(ring, window, t.event);
+        }
+        for (const taken& t : batch) {
+            service_result result = error ? service_result{} : answer;
+            result.coalesced = !error && t.joined;
+            try {
+                if (t.done) {
+                    t.done(std::move(result), error);
+                }
+            } catch (...) {
+                // Trapped: a throwing completion must reach neither the
+                // settling thread nor the waiters after it.
+            }
+        }
+    }
+
     // The obs::registry provider: every counter, gauge and stage
     // histogram under one "serve." namespace (docs/OBSERVABILITY.md).
     // Runs with the registry mutex held — takes the gauge locks
@@ -397,17 +465,21 @@ struct service::state {
                                                : options.queue_capacity / 2;
     }
 
-    // An already-answered submission from the cache (no cancel lever —
-    // there is nothing left to withdraw).
-    [[nodiscard]] submission
-    answer_from_cache(const std::shared_ptr<const cached_value>& cached,
-                      const service_request& normal, const request_key& key,
-                      std::uint64_t admitted_ns) {
-        std::promise<service_result> promise;
-        service_result result = to_result(*cached);
-        result.cache_hit = true;
-        std::future<service_result> future = promise.get_future();
-        promise.set_value(std::move(result));
+    // One result-cache lookup, timed as its own stage.
+    [[nodiscard]] std::shared_ptr<const cached_value>
+    probe_cache(const request_key& key, const service_request& normal) {
+        obs::span probe{"serve.cache_probe", &ctrs->cache_probe_ns,
+                        normal.obs_correlation, key.request[0]};
+        probe.set_trace(normal.obs_trace_hi, normal.obs_trace_lo);
+        return cache.find(key);
+    }
+
+    // A submission answered from the cache, settled like a waiter (there
+    // is no flight, and no cancel lever: nothing is left to withdraw).
+    [[nodiscard]] taken cache_hit(const service_request& normal,
+                                  const request_key& key,
+                                  std::uint64_t admitted_ns,
+                                  completion done) {
         ctrs->cache_hits.fetch_add(1, std::memory_order_relaxed);
         ctrs->completed.fetch_add(1, std::memory_order_relaxed);
         obs::request_event e;
@@ -422,39 +494,32 @@ struct service::state {
         e.start_ns = admitted_ns;
         const std::uint64_t now = obs::now_ns();
         e.total_ns = now >= admitted_ns ? now - admitted_ns : 0;
-        settle_event(*events, *slo, e);
-        return submission{std::move(future), {}};
+        return {std::move(done), e, false};
     }
 
     // The cancel lever for waiter `index` of `f`.  Captures only the
     // flight and the counters (both shared), so it outlives the service.
-    [[nodiscard]] std::function<bool()>
-    make_cancel(std::shared_ptr<flight> f, std::size_t index) {
+    [[nodiscard]] cancel_lever make_cancel(std::shared_ptr<flight> f,
+                                           std::size_t index) {
         return [f = std::move(f), index, c = ctrs, ring = events,
                 window = slo, node = options.node_id]() -> bool {
-            obs::request_event e;
+            std::vector<taken> cancelled;
             {
                 const std::lock_guard<std::mutex> lock{f->mutex};
-                waiter& w = f->waiters[index];
-                if (w.settled) {
+                if (f->waiters[index].settled) {
                     return false;
                 }
-                w.settled = true;
-                w.promise.set_exception(std::make_exception_ptr(
-                    service_cancelled{"serve: submission cancelled"}));
-                --f->live;
+                cancelled.push_back(take(*f, index, node,
+                                         obs::event_disposition::cancelled,
+                                         *c));
                 c->cancellations.fetch_add(1, std::memory_order_relaxed);
-                c->completed.fetch_add(1, std::memory_order_relaxed);
                 if (f->live == 0) {
                     f->abandoned.store(true, std::memory_order_release);
                 }
-                e = flight_event(*f, node);
-                e.correlation = w.correlation;
-                e.trace_hi = w.trace_hi;
-                e.trace_lo = w.trace_lo;
-                e.disposition = obs::event_disposition::cancelled;
             }
-            settle_event(*ring, *window, e);
+            deliver(cancelled, *ring, *window,
+                    std::make_exception_ptr(
+                        service_cancelled{"serve: submission cancelled"}));
             return true;
         };
     }
@@ -467,14 +532,15 @@ struct service::state {
             return;
         }
         const clock::time_point now = clock::now();
-        std::vector<obs::request_event> expired;
+        std::vector<taken> expired;
         {
             const std::lock_guard<std::mutex> lock{f.mutex};
             if (now < f.earliest_deadline) {
                 return;
             }
             clock::time_point next = no_deadline;
-            for (waiter& w : f.waiters) {
+            for (std::size_t i = 0; i < f.waiters.size(); ++i) {
+                const waiter& w = f.waiters[i];
                 if (w.settled) {
                     continue;
                 }
@@ -482,20 +548,10 @@ struct service::state {
                     next = std::min(next, w.deadline);
                     continue;
                 }
-                w.settled = true;
-                w.promise.set_exception(
-                    std::make_exception_ptr(service_timeout{
-                        "serve: submission deadline passed before the "
-                        "answer was ready"}));
-                --f.live;
+                expired.push_back(take(f, i, options.node_id,
+                                       obs::event_disposition::timeout,
+                                       *ctrs));
                 ctrs->timeouts.fetch_add(1, std::memory_order_relaxed);
-                ctrs->completed.fetch_add(1, std::memory_order_relaxed);
-                obs::request_event e = flight_event(f, options.node_id);
-                e.correlation = w.correlation;
-                e.trace_hi = w.trace_hi;
-                e.trace_lo = w.trace_lo;
-                e.disposition = obs::event_disposition::timeout;
-                expired.push_back(e);
             }
             f.earliest_deadline = next;
             if (f.live == 0 &&
@@ -505,9 +561,10 @@ struct service::state {
                                                 std::memory_order_relaxed);
             }
         }
-        for (const obs::request_event& e : expired) {
-            settle_event(*events, *slo, e);
-        }
+        deliver(expired, *events, *slo,
+                std::make_exception_ptr(service_timeout{
+                    "serve: submission deadline passed before the answer "
+                    "was ready"}));
     }
 
     [[nodiscard]] static std::size_t job_count(const flight& f) noexcept {
@@ -818,62 +875,18 @@ struct service::state {
                              std::make_shared<const cached_value>(value));
             }
         }
-        if (!f->degraded) {
-            // Conditional unmap: an abandoned flight may already have been
-            // replaced in the map by a fresh one for the same key — that
-            // newcomer must not be evicted by its predecessor's funeral.
-            const std::lock_guard<std::mutex> lock{flights_mutex};
-            const auto it = flights.find(f->key);
-            if (it != flights.end() && it->second == f) {
-                flights.erase(it);
-            }
-        }
-        // Settle the live waiters.  Promises are moved out one by one so
-        // the vector's shape — which outstanding cancel() closures index
-        // into — survives; a moved-from promise behind a `settled` flag is
-        // never touched again.
-        struct settled_waiter {
-            std::promise<service_result> promise;
-            bool joined{false};
-            std::uint64_t correlation{0};
-            std::uint64_t trace_hi{0};
-            std::uint64_t trace_lo{0};
-        };
-        std::vector<settled_waiter> fulfil;
-        {
-            const std::lock_guard<std::mutex> lock{f->mutex};
-            fulfil.reserve(f->live);
-            for (std::size_t i = 0; i < f->waiters.size(); ++i) {
-                waiter& w = f->waiters[i];
-                if (w.settled) {
-                    continue;
-                }
-                w.settled = true;
-                fulfil.push_back({std::move(w.promise), i > 0,
-                                  w.correlation, w.trace_hi, w.trace_lo});
-            }
-            f->live = 0;
-        }
-        // One wide event per settled waiter, each under its own telemetry
-        // identity; the disposition ranks failure > degraded > coalesced.
-        // Recorded BEFORE the promises fire: the instant set_value runs,
-        // the waiting hop can send its response and close its span, and
-        // any telemetry still trickling in after that would land outside
-        // the client's span interval (the containment obs.stitch_test and
-        // obs.fleet_test prove).
-        for (const settled_waiter& w : fulfil) {
-            obs::request_event e = flight_event(*f, options.node_id);
-            e.correlation = w.correlation;
-            e.trace_hi = w.trace_hi;
-            e.trace_lo = w.trace_lo;
-            e.disposition =
-                error ? obs::event_disposition::failed
-                : f->degraded
-                    ? obs::event_disposition::degraded
-                    : (w.joined ? obs::event_disposition::coalesced
-                                : obs::event_disposition::computed);
-            settle_event(*events, *slo, e);
-        }
+        unmap(f);
+        // Settle the live waiters; the disposition ranks failure >
+        // degraded > coalesced.
+        const obs::event_disposition first =
+            error         ? obs::event_disposition::failed
+            : f->degraded ? obs::event_disposition::degraded
+                          : obs::event_disposition::computed;
+        const std::vector<taken> settled = take_live(
+            *f, first,
+            first == obs::event_disposition::computed
+                ? obs::event_disposition::coalesced
+                : first);
         settle_span.finish();
         // The whole-flight span: creation -> settled, the envelope the
         // queue/stream/shard spans decompose.
@@ -883,22 +896,25 @@ struct service::state {
                 f->obs_correlation, f->obs_fingerprint,
                 f->request.obs_trace_hi, f->request.obs_trace_lo);
         }
-        // Counted before the promises fire: a caller returning from get()
-        // must observe itself in `completed`.
-        ctrs->completed.fetch_add(fulfil.size(), std::memory_order_relaxed);
-        for (settled_waiter& w : fulfil) {
-            if (error) {
-                w.promise.set_exception(error);
-            } else {
-                service_result result = to_result(value);
-                result.coalesced = w.joined;
-                result.degraded = f->degraded;
-                result.flight_retries =
-                    f->attempt.load(std::memory_order_relaxed);
-                w.promise.set_value(std::move(result));
-            }
+        service_result answer;
+        if (!error) {
+            answer = to_result(value);
+            answer.degraded = f->degraded;
+            answer.flight_retries = f->attempt.load(std::memory_order_relaxed);
         }
+        deliver(settled, *events, *slo, error, answer);
         close_flight();
+    }
+
+    // Out of the in-flight map — conditionally: an abandoned flight may
+    // already have been replaced by a fresh one for the same key, and that
+    // newcomer must not be evicted by its predecessor's funeral.
+    void unmap(const std::shared_ptr<flight>& f) {
+        const std::lock_guard<std::mutex> lock{flights_mutex};
+        const auto it = flights.find(f->key);
+        if (!f->degraded && it != flights.end() && it->second == f) {
+            flights.erase(it);
+        }
     }
 
     void close_flight() {
@@ -947,13 +963,7 @@ struct service::state {
     // coalescers that joined while we were trying — sees the failure.
     void fail_flight(const std::shared_ptr<flight>& f,
                      const std::exception_ptr& error) {
-        if (!f->degraded) {
-            const std::lock_guard<std::mutex> lock{flights_mutex};
-            const auto it = flights.find(f->key);
-            if (it != flights.end() && it->second == f) {
-                flights.erase(it);
-            }
-        }
+        unmap(f);
         // A queue rejection and an internal fault are different outcomes
         // in the wide-event record even though both unwind the same way.
         obs::event_disposition disposition = obs::event_disposition::failed;
@@ -963,35 +973,10 @@ struct service::state {
             disposition = obs::event_disposition::rejected;
         } catch (...) {
         }
-        std::vector<std::promise<service_result>> fulfil;
-        std::vector<obs::request_event> unwound;
-        {
-            const std::lock_guard<std::mutex> lock{f->mutex};
-            fulfil.reserve(f->live);
-            for (waiter& w : f->waiters) {
-                if (w.settled) {
-                    continue;
-                }
-                w.settled = true;
-                fulfil.push_back(std::move(w.promise));
-                obs::request_event e = flight_event(*f, options.node_id);
-                e.correlation = w.correlation;
-                e.trace_hi = w.trace_hi;
-                e.trace_lo = w.trace_lo;
-                e.disposition = disposition;
-                unwound.push_back(e);
-            }
-            f->live = 0;
-        }
         // Unwound submissions are still completed submissions: the
         // submitted/completed balance must survive a rejection.
-        ctrs->completed.fetch_add(fulfil.size(), std::memory_order_relaxed);
-        for (std::promise<service_result>& promise : fulfil) {
-            promise.set_exception(error);
-        }
-        for (const obs::request_event& e : unwound) {
-            settle_event(*events, *slo, e);
-        }
+        deliver(take_live(*f, disposition, disposition), *events, *slo,
+                error);
         close_flight();
     }
 
@@ -1027,7 +1012,7 @@ struct service::state {
                     // throw here is the settling machinery itself failing
                     // (e.g. an allocation mid-finish, always before the
                     // flight's close_flight).  Fail the flight so its
-                    // waiters see the fault instead of a hung future.
+                    // waiters see the fault instead of never settling.
                     fail_flight(j.target, std::current_exception());
                 }
                 {
@@ -1132,12 +1117,37 @@ bool service::has_trace(std::string_view name) const {
     return state_->traces.find(std::string{name}) != state_->traces.end();
 }
 
+submission submission::adapt(
+    const std::function<cancel_lever(completion)>& start) {
+    auto promise = std::make_shared<std::promise<service_result>>();
+    std::future<service_result> future = promise->get_future();
+    cancel_lever cancel =
+        start([promise](service_result result, std::exception_ptr error) {
+            if (error) {
+                promise->set_exception(std::move(error));
+            } else {
+                promise->set_value(std::move(result));
+            }
+        });
+    return submission{std::move(future), std::move(cancel)};
+}
+
 submission service::submit(std::string_view trace_name,
                            const service_request& request) {
+    return submission::adapt([&](completion done) {
+        return submit(trace_name, request, std::move(done));
+    });
+}
+
+cancel_lever service::submit(std::string_view trace_name,
+                             const service_request& request,
+                             completion done) {
     state& s = *state_;
     // The submit span covers validation, the cache probes and the
     // coalesce-or-enqueue decision — everything on the caller's thread.
-    // The fingerprint tag is patched in once the key exists.
+    // The fingerprint tag is patched in once the key exists.  It finishes
+    // before the waiter can settle: every span of a request must close
+    // before its answer goes out.
     obs::span submit_span{"serve.submit", &s.ctrs->submit_ns,
                           request.obs_correlation};
     submit_span.set_trace(request.obs_trace_hi, request.obs_trace_lo);
@@ -1172,21 +1182,37 @@ submission service::submit(std::string_view trace_name,
     // would re-normalise (copy + sort + validate) on every submit.
     const request_key key{entry->digest, fingerprint_canonical(normal)};
     submit_span.set_fingerprint(key.request[0]);
-    {
-        obs::span probe{"serve.cache_probe", &s.ctrs->cache_probe_ns,
-                        normal.obs_correlation, key.request[0]};
-        probe.set_trace(normal.obs_trace_hi, normal.obs_trace_lo);
-        if (const auto cached = s.cache.find(key)) {
-            // Answered without touching a simulator or the queue.
-            return s.answer_from_cache(cached, normal, key, admitted_ns);
-        }
+    // Answered without touching a simulator or the queue, on this thread.
+    const auto serve_cached = [&](const cached_value& cached) {
+        service_result answer = to_result(cached);
+        answer.cache_hit = true;
+        const std::vector<state::taken> hit{
+            s.cache_hit(normal, key, admitted_ns, std::move(done))};
+        submit_span.finish();
+        state::deliver(hit, *s.events, *s.slo, nullptr, answer);
+        return cancel_lever{};
+    };
+    // Adds this caller to `target`, returning its waiter index.
+    const auto join = [&](flight& target) {
+        waiter& w = target.waiters.emplace_back();
+        w.done = std::move(done);
+        w.deadline = deadline_at;
+        w.correlation = normal.obs_correlation;
+        w.trace_hi = normal.obs_trace_hi;
+        w.trace_lo = normal.obs_trace_lo;
+        target.earliest_deadline =
+            std::min(target.earliest_deadline, deadline_at);
+        ++target.live;
+        return target.waiters.size() - 1;
+    };
+    if (const auto cached = s.probe_cache(key, normal)) {
+        return serve_cached(*cached);
     }
 
     std::shared_ptr<flight> f;
-    std::future<service_result> future;
     bool degrade = false;
     {
-        const std::lock_guard<std::mutex> lock{s.flights_mutex};
+        std::unique_lock<std::mutex> lock{s.flights_mutex};
         const auto it = s.flights.find(key);
         if (it != s.flights.end()) {
             const std::shared_ptr<flight>& current = it->second;
@@ -1197,21 +1223,10 @@ submission service::submit(std::string_view trace_name,
             // service_cancelled, so fall through and replace it instead.
             if (!current->abandoned.load(std::memory_order_acquire)) {
                 // Identical question already in the air: one computation,
-                // one more future.
-                current->waiters.emplace_back();
-                waiter& w = current->waiters.back();
-                w.deadline = deadline_at;
-                w.correlation = normal.obs_correlation;
-                w.trace_hi = normal.obs_trace_hi;
-                w.trace_lo = normal.obs_trace_lo;
-                current->earliest_deadline =
-                    std::min(current->earliest_deadline, deadline_at);
-                ++current->live;
-                future = w.promise.get_future();
+                // one more waiter.
+                submit_span.finish();
                 s.ctrs->coalesced.fetch_add(1, std::memory_order_relaxed);
-                return submission{
-                    std::move(future),
-                    s.make_cancel(current, current->waiters.size() - 1)};
+                return s.make_cancel(current, join(*current));
             }
         }
         // The flight may have finished between the cache probe above and
@@ -1220,15 +1235,11 @@ submission service::submit(std::string_view trace_name,
         // second probe — without it, a duplicate landing in that window
         // would restart an already-answered computation.  (finish() never
         // holds a cache shard lock while taking flights_mutex, so probing
-        // the cache here cannot deadlock.)
-        {
-            obs::span probe{"serve.cache_probe", &s.ctrs->cache_probe_ns,
-                            normal.obs_correlation, key.request[0]};
-            probe.set_trace(normal.obs_trace_hi, normal.obs_trace_lo);
-            if (const auto cached = s.cache.find(key)) {
-                return s.answer_from_cache(cached, normal, key,
-                                           admitted_ns);
-            }
+        // the cache here cannot deadlock.)  A hit is answered unlocked:
+        // completions never run under a service lock.
+        if (const auto cached = s.probe_cache(key, normal)) {
+            lock.unlock();
+            return serve_cached(*cached);
         }
         // Load shedding: past the high-watermark an exact request gets the
         // estimate tier, one job, no cache entry — but only after the
@@ -1249,14 +1260,7 @@ submission service::submit(std::string_view trace_name,
         f->obs_fingerprint = key.request[0];
         f->start_ns = obs::timestamp_if_enabled();
         f->admitted_ns = admitted_ns;
-        f->waiters.emplace_back();
-        f->waiters.back().deadline = deadline_at;
-        f->waiters.back().correlation = normal.obs_correlation;
-        f->waiters.back().trace_hi = normal.obs_trace_hi;
-        f->waiters.back().trace_lo = normal.obs_trace_lo;
-        f->earliest_deadline = deadline_at;
-        f->live = 1;
-        future = f->waiters.back().promise.get_future();
+        (void)join(*f);
         const std::size_t jobs = state::job_count(*f);
         f->remaining.store(jobs, std::memory_order_relaxed);
         if (normal.mode == service_mode::exact && !degrade) {
@@ -1273,13 +1277,21 @@ submission service::submit(std::string_view trace_name,
         const std::lock_guard<std::mutex> qlock{s.queue_mutex};
         ++s.open_flights;
     }
+    // The first job may settle the flight before enqueue() returns; time
+    // spent waiting for queue space is in serve.queue_wait instead.
+    submit_span.finish();
     try {
         s.enqueue(f, state::job_count(*f));
     } catch (...) {
+        // The throw answers the initiator; joiners get theirs.
+        {
+            const std::lock_guard<std::mutex> lock{f->mutex};
+            f->waiters.front().done = nullptr;
+        }
         s.fail_flight(f, std::current_exception());
         throw;
     }
-    return submission{std::move(future), s.make_cancel(f, 0)};
+    return s.make_cancel(f, 0);
 }
 
 void service::drain() {

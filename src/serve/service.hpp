@@ -84,6 +84,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "obs/event.hpp"
 #include "serve/cache.hpp"
@@ -259,11 +260,59 @@ struct service_stats {
     }
 };
 
-// The handle submit() returns: the result future plus the lever to withdraw
-// the submission.  Movable, not copyable (it owns the future).
+// Every service_stats field with its name, in declaration order: the one
+// list the wire codec and the router's fleet sum walk.
+inline constexpr std::pair<const char*, std::uint64_t service_stats::*>
+    service_stats_fields[] = {
+        {"submitted", &service_stats::submitted},
+        {"completed", &service_stats::completed},
+        {"cache_hits", &service_stats::cache_hits},
+        {"coalesced", &service_stats::coalesced},
+        {"computations", &service_stats::computations},
+        {"shard_jobs", &service_stats::shard_jobs},
+        {"stream_builds", &service_stats::stream_builds},
+        {"stream_reuses", &service_stats::stream_reuses},
+        {"rejected", &service_stats::rejected},
+        {"representative_served", &service_stats::representative_served},
+        {"exact_fallbacks", &service_stats::exact_fallbacks},
+        {"cache_evictions", &service_stats::cache_evictions},
+        {"timeouts", &service_stats::timeouts},
+        {"cancellations", &service_stats::cancellations},
+        {"retries", &service_stats::retries},
+        {"retry_successes", &service_stats::retry_successes},
+        {"transient_faults", &service_stats::transient_faults},
+        {"permanent_faults", &service_stats::permanent_faults},
+        {"degraded_served", &service_stats::degraded_served},
+        {"expired_flights", &service_stats::expired_flights},
+        {"queue_depth", &service_stats::queue_depth},
+        {"inflight_flights", &service_stats::inflight_flights},
+};
+
+// A submission's answer, delivered once: the result (null error) or the
+// fault that replaced it.  It runs on the thread that settles the
+// submission — a worker, the canceller, or the submitter itself on a cache
+// hit — with no service lock held and after the settle's telemetry is
+// recorded; a throw from it is trapped.  It may re-enter the service but
+// must not wait on its progress (drain(), get()).  docs/API.md §5.
+using completion =
+    std::function<void(service_result result, std::exception_ptr error)>;
+
+// Withdraws one submission (see submission::cancel); empty when it was
+// answered before submit returned.
+using cancel_lever = std::function<bool()>;
+
+// The handle the future form of submit() returns: the result future plus
+// the lever to withdraw the submission.  Movable, not copyable (it owns
+// the future).  net::client hands out the same type.
 class submission {
 public:
     submission() = default;
+
+    // The future form over a completion form: `start(done)` begins the
+    // work with a completion that settles this future, and returns the
+    // work's cancel lever.
+    [[nodiscard]] static submission
+    adapt(const std::function<cancel_lever(completion)>& start);
 
     // Future accessors, forwarded.  get() blocks and either returns the
     // result or rethrows the flight's fault / service_timeout /
@@ -287,13 +336,11 @@ public:
     bool cancel() { return cancel_ && cancel_(); }
 
 private:
-    friend class service;
-    submission(std::future<service_result> future,
-               std::function<bool()> cancel)
+    submission(std::future<service_result> future, cancel_lever cancel)
         : future_{std::move(future)}, cancel_{std::move(cancel)} {}
 
     std::future<service_result> future_;
-    std::function<bool()> cancel_;
+    cancel_lever cancel_;
 };
 
 class service {
@@ -326,6 +373,13 @@ public:
     // produced; the handle's cancel() withdraws it.
     [[nodiscard]] submission submit(std::string_view trace_name,
                                     const service_request& request);
+
+    // The completion form, which the future form adapts: the same
+    // admission, throws and settle semantics, answer delivered to `done`
+    // (never run when submit throws).
+    [[nodiscard]] cancel_lever submit(std::string_view trace_name,
+                                      const service_request& request,
+                                      completion done);
 
     // Blocks until every submitted request has completed.  (With pause()
     // in effect, waits for resume() first.)

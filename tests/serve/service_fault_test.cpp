@@ -394,4 +394,186 @@ TEST(ServiceFault, ConcurrentFaultStormKeepsEveryAnswerExact) {
     EXPECT_EQ(stats.permanent_faults, 0u);
 }
 
+// --- The completion contract -------------------------------------------------
+
+// What one completion saw: how often it ran and how it settled.
+enum class settled_as { none, answered, cancelled, timed_out, other };
+
+settled_as classify_outcome(const service_result& result,
+                            const std::exception_ptr& error) {
+    if (!error) {
+        return result.sweep != nullptr ? settled_as::answered
+                                       : settled_as::other;
+    }
+    try {
+        std::rethrow_exception(error);
+    } catch (const service_cancelled&) {
+        return settled_as::cancelled;
+    } catch (const service_timeout&) {
+        return settled_as::timed_out;
+    } catch (...) {
+        return settled_as::other;
+    }
+}
+
+TEST(ServiceFault, CompletionsFireExactlyOnceUnderAnswerCancelDeadlineRaces) {
+    service_options options = robust_options();
+    options.queue_capacity = 1024;
+    service svc{options};
+    svc.add_trace("cjpeg", workload());
+
+    // Distinct keys (mre_depth is part of the DEW request identity) so
+    // flights, coalescing and cache hits mix; a quarter of the waiters
+    // carry tight deadlines and a quarter are cancelled from another
+    // thread while the pool answers.
+    constexpr std::size_t waiters = 400;
+    std::vector<std::atomic<int>> calls(waiters);
+    std::vector<std::atomic<settled_as>> outcome(waiters);
+    std::vector<cancel_lever> levers(waiters);
+    for (std::size_t i = 0; i < waiters; ++i) {
+        service_request request = exact_request(4 + i % 3);
+        request.sweep.options.mre_depth =
+            1 + static_cast<std::uint32_t>(i % 40);
+        if (i % 4 == 1) {
+            request.deadline = std::chrono::microseconds{50 * (i % 7)};
+        }
+        levers[i] = svc.submit(
+            "cjpeg", request,
+            [&calls, &outcome, i](service_result result,
+                                  std::exception_ptr error) {
+                outcome[i].store(classify_outcome(result, error));
+                calls[i].fetch_add(1);
+            });
+    }
+    std::vector<char> cancelled(waiters, 0);
+    std::thread canceller{[&] {
+        for (std::size_t i = 2; i < waiters; i += 4) {
+            cancelled[i] = levers[i] && levers[i]() ? 1 : 0;
+        }
+    }};
+    canceller.join();
+    svc.drain();
+
+    std::uint64_t cancels = 0;
+    std::uint64_t timeouts = 0;
+    for (std::size_t i = 0; i < waiters; ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(calls[i].load(), 1);
+        const settled_as how = outcome[i].load();
+        EXPECT_NE(how, settled_as::other);
+        // A lever reports true exactly when its pull settled the waiter.
+        EXPECT_EQ(how == settled_as::cancelled, cancelled[i] != 0);
+        if (how == settled_as::timed_out) {
+            EXPECT_EQ(i % 4, 1u);
+        }
+        cancels += how == settled_as::cancelled ? 1 : 0;
+        timeouts += how == settled_as::timed_out ? 1 : 0;
+    }
+    const service_stats stats = svc.stats();
+    EXPECT_EQ(stats.submitted, waiters);
+    EXPECT_EQ(stats.completed, waiters);
+    EXPECT_EQ(stats.cancellations, cancels);
+    EXPECT_EQ(stats.timeouts, timeouts);
+}
+
+TEST(ServiceFault, CompletionsMayReenterTheService) {
+    service_options options = robust_options();
+    options.workers = 1; // the first flight settles before the second runs
+    service svc{options};
+    svc.add_trace("cjpeg", workload());
+    const service_request first = exact_request(5);
+    const service_request second = exact_request(6);
+
+    std::atomic<int> nested_calls{0};
+    std::atomic<bool> nested_hit{false};
+    std::atomic<int> second_calls{0};
+    std::atomic<settled_as> second_outcome{settled_as::none};
+    std::atomic<bool> lever_pulled{false};
+    std::atomic<std::uint64_t> seen_submitted{0};
+    cancel_lever second_lever;
+
+    svc.pause();
+    (void)svc.submit(
+        "cjpeg", first,
+        [&](service_result result, std::exception_ptr error) {
+            ASSERT_FALSE(error);
+            ASSERT_NE(result.sweep, nullptr);
+            // Runs on the only worker with no service lock held: reading
+            // stats, resubmitting (a cache hit whose completion runs
+            // nested, right here) and cancelling another waiter must all
+            // go through.
+            seen_submitted.store(svc.stats().submitted);
+            (void)svc.submit("cjpeg", first,
+                             [&](service_result again, std::exception_ptr) {
+                                 nested_hit.store(again.cache_hit);
+                                 nested_calls.fetch_add(1);
+                             });
+            lever_pulled.store(second_lever());
+        });
+    second_lever = svc.submit(
+        "cjpeg", second,
+        [&](service_result result, std::exception_ptr error) {
+            second_outcome.store(classify_outcome(result, error));
+            second_calls.fetch_add(1);
+        });
+    svc.resume();
+    svc.drain();
+
+    EXPECT_EQ(seen_submitted.load(), 2u);
+    EXPECT_EQ(nested_calls.load(), 1);
+    EXPECT_TRUE(nested_hit.load());
+    EXPECT_TRUE(lever_pulled.load());
+    EXPECT_EQ(second_calls.load(), 1);
+    EXPECT_EQ(second_outcome.load(), settled_as::cancelled);
+    const service_stats stats = svc.stats();
+    EXPECT_EQ(stats.submitted, 3u);
+    EXPECT_EQ(stats.completed, 3u);
+    EXPECT_EQ(stats.cancellations, 1u);
+}
+
+TEST(ServiceFault, ThrowingCompletionLosesNoWorkerAndNoOtherAnswer) {
+    service_options options = robust_options();
+    options.workers = 1; // a lost worker would stall everything after it
+    service svc{options};
+    svc.add_trace("cjpeg", workload());
+    const service_request request = exact_request(5);
+    const core::sweep_result reference =
+        core::run_sweep(workload(), canonical(request).sweep);
+
+    std::atomic<int> throws{0};
+    const completion thrower = [&throws](service_result, std::exception_ptr) {
+        throws.fetch_add(1);
+        throw std::runtime_error{"completion blew up"};
+    };
+
+    // Throwing and well-behaved waiters coalesced on one flight.
+    svc.pause();
+    (void)svc.submit("cjpeg", request, thrower);
+    submission before = svc.submit("cjpeg", request);
+    (void)svc.submit("cjpeg", request, thrower);
+    submission after = svc.submit("cjpeg", request);
+    svc.resume();
+    expect_identical(*before.get().sweep, reference);
+    expect_identical(*after.get().sweep, reference);
+
+    // The cache-hit path (settled on the submitting thread) and the
+    // cancel path (settled by the lever's caller) trap a throw too.
+    EXPECT_NO_THROW((void)svc.submit("cjpeg", request, thrower));
+    svc.pause();
+    const cancel_lever lever =
+        svc.submit("cjpeg", exact_request(6), thrower);
+    bool pulled = false;
+    EXPECT_NO_THROW(pulled = lever());
+    EXPECT_TRUE(pulled);
+    svc.resume();
+
+    // The worker survived: fresh work is still answered, and drain()
+    // reports no lost worker.
+    const service_request fresh = exact_request(7);
+    expect_identical(*svc.submit("cjpeg", fresh).get().sweep,
+                     core::run_sweep(workload(), canonical(fresh).sweep));
+    EXPECT_NO_THROW(svc.drain());
+    EXPECT_EQ(throws.load(), 4);
+}
+
 } // namespace

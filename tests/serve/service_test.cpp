@@ -164,6 +164,49 @@ TEST(Service, DuplicateInFlightRequestsCoalesceDeterministically) {
     EXPECT_DOUBLE_EQ(stats.coalesce_factor(), duplicates + 1.0);
 }
 
+TEST(Service, EachCoalescedWaiterGetsItsOwnCompletion) {
+    service svc{{2, 64, overflow_policy::block, {4, 64}}};
+    svc.add_trace("cjpeg", workload());
+    const service_request request = exact_request();
+
+    // The completion form of the coalescing case above: every waiter's own
+    // callback runs exactly once, with its own coalesced flag, over the
+    // one shared payload.
+    constexpr std::size_t waiters = 6;
+    struct outcome {
+        int calls{0};
+        bool coalesced{false};
+        std::shared_ptr<const core::sweep_result> sweep;
+    };
+    std::vector<outcome> outcomes(waiters);
+    svc.pause();
+    for (std::size_t i = 0; i < waiters; ++i) {
+        (void)svc.submit("cjpeg", request,
+                         [&outcomes, i](service_result result,
+                                        std::exception_ptr error) {
+                             EXPECT_FALSE(error);
+                             ++outcomes[i].calls;
+                             outcomes[i].coalesced = result.coalesced;
+                             outcomes[i].sweep = result.sweep;
+                         });
+    }
+    EXPECT_EQ(svc.stats().coalesced, waiters - 1);
+    svc.resume();
+    svc.drain();
+
+    const core::sweep_result reference =
+        core::run_sweep(workload(), canonical(request).sweep);
+    for (std::size_t i = 0; i < waiters; ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(outcomes[i].calls, 1);
+        EXPECT_EQ(outcomes[i].coalesced, i > 0);
+        ASSERT_NE(outcomes[i].sweep, nullptr);
+        EXPECT_EQ(outcomes[i].sweep, outcomes[0].sweep);
+    }
+    expect_identical(*outcomes[0].sweep, reference);
+    EXPECT_EQ(svc.stats().computations, 1u);
+}
+
 TEST(Service, SharedStreamsDecodeOncePerBlockSizeAcrossRequests) {
     service svc{};
     svc.add_trace("cjpeg", workload());

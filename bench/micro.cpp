@@ -457,8 +457,10 @@ struct service_measurement {
     double p99_ms{0.0};
     // Observability cost on the storm + replay serving mix: recording
     // enabled vs runtime-disabled (one relaxed load — the compiled-off
-    // stand-in, see docs/OBSERVABILITY.md), as a percentage slowdown.
+    // stand-in, see docs/OBSERVABILITY.md), as a percentage slowdown: the
+    // median per-pair ratio, and the interquartile range of those ratios.
     double obs_overhead_pct{0.0};
+    double obs_overhead_spread_pct{0.0};
 };
 
 service_measurement measure_service() {
@@ -560,11 +562,10 @@ service_measurement measure_service() {
     // magnitude above the true span cost, so the estimator is built for
     // that regime: on/off run as adjacent pairs (sharing the machine's
     // drift state) with alternating order, each pair yields one on/off
-    // slowdown ratio, and the reported figure is the lower quartile of
-    // the pair ratios — it reads nonzero only when three quarters of the
-    // paired comparisons agree recording is slower, yet a real
-    // multi-percent regression still shifts every pair and lands above
-    // the budget.
+    // slowdown ratio, and the reported figure is the median of the pair
+    // ratios with their interquartile range beside it — a small real cost
+    // reads as a small positive median, and the spread says how much of
+    // it the noise could explain.
     {
         const auto mix_seconds = [&] {
             serve::service wave_service{
@@ -620,9 +621,14 @@ service_measurement measure_service() {
             pair_ratios.push_back(on_seconds / off_seconds - 1.0);
         }
         obs::recorder::instance().set_enabled(true);
+        // Median and interquartile range of the pair ratios, unclamped: a
+        // negative median says the two sides are within the noise.
         std::sort(pair_ratios.begin(), pair_ratios.end());
+        const std::size_t n = pair_ratios.size();
         m.obs_overhead_pct =
-            std::max(0.0, 100.0 * pair_ratios[pair_ratios.size() / 4]);
+            50.0 * (pair_ratios[n / 2 - 1] + pair_ratios[n / 2]);
+        m.obs_overhead_spread_pct =
+            100.0 * (pair_ratios[3 * n / 4] - pair_ratios[n / 4]);
     }
 
     // Timeout rate, by construction 0.5: half of a gated wave carries an
@@ -929,6 +935,8 @@ void write_micro_json() {
     std::fprintf(out, "  \"serve_p99_ms\": %.3f,\n", serve.p99_ms);
     std::fprintf(out, "  \"obs_overhead_pct\": %.2f,\n",
                  serve.obs_overhead_pct);
+    std::fprintf(out, "  \"obs_overhead_spread_pct\": %.2f,\n",
+                 serve.obs_overhead_spread_pct);
     // Microsecond twins of the *_ms percentiles: at %.3f a sub-millisecond
     // service reports "0.001" or flat zero in milliseconds, which reads as
     // a precision floor, not a latency.  The _ms names above are frozen
@@ -977,10 +985,10 @@ void write_micro_json() {
                 "round trip p50 %.3f ms / p95 %.3f ms / p99 %.3f ms\n",
                 net.requests_per_sec, net.p50_ms, net.p95_ms, net.p99_ms);
     std::printf("in-process warm round trip p50 %.3f ms / p95 %.3f ms / "
-                "p99 %.3f ms; obs recording overhead %.2f%% on the "
-                "serving mix\n",
+                "p99 %.3f ms; obs recording overhead %.2f%% (IQR %.2f) "
+                "on the serving mix\n",
                 serve.p50_ms, serve.p95_ms, serve.p99_ms,
-                serve.obs_overhead_pct);
+                serve.obs_overhead_pct, serve.obs_overhead_spread_pct);
     std::printf("sweep memory: eager %.1f B/ref vs streaming %.2f B/ref "
                 "(x%.0f smaller), throughput %.2fM vs %.2fM acc/s\n\n",
                 sweeps.eager.peak_bytes_per_ref,

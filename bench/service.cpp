@@ -393,12 +393,11 @@ int main() {
 
     const serve::service_stats stats = storm_service->stats();
     std::printf("\nstorm+replay totals: %llu submitted, %llu computations, "
-                "%llu shard jobs, streams built %llu / reused %llu\n",
+                "%llu shard jobs, %llu block-size decodes\n",
                 static_cast<unsigned long long>(stats.submitted),
                 static_cast<unsigned long long>(stats.computations),
                 static_cast<unsigned long long>(stats.shard_jobs),
-                static_cast<unsigned long long>(stats.stream_builds),
-                static_cast<unsigned long long>(stats.stream_reuses));
+                static_cast<unsigned long long>(stats.stream_builds));
     std::printf("storm phase duplicates coalesce %.0f-to-1; replay phase "
                 "answers everything from the cache (hit rate %.2f)\n",
                 storm.coalesce_factor, replay.cache_hit_rate);

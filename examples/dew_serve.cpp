@@ -894,12 +894,11 @@ int main(int argc, char** argv) {
     std::printf("  estimates served %zu (exact fallbacks %zu), degraded "
                 "%zu\n",
                 estimates, fallbacks, degraded);
-    std::printf("  computations %llu over %llu shard jobs; streams built "
-                "%llu, reused %llu; evictions %llu\n",
+    std::printf("  computations %llu over %llu shard jobs (%llu block-size "
+                "decodes); evictions %llu\n",
                 static_cast<unsigned long long>(stats.computations),
                 static_cast<unsigned long long>(stats.shard_jobs),
                 static_cast<unsigned long long>(stats.stream_builds),
-                static_cast<unsigned long long>(stats.stream_reuses),
                 static_cast<unsigned long long>(stats.cache_evictions));
     std::printf("  faults injected %llu; retries %llu (recovered %llu "
                 "flights); timed out %zu, failed %zu\n",

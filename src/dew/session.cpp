@@ -9,13 +9,79 @@
 #include <thread>
 #include <utility>
 
+#include "cipar/simulator.hpp"
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
-#include "dew/pass.hpp"
+#include "dew/simulator.hpp"
 
 namespace dew::core {
 
+// Type-erased single pass: one (block size, associativity) pair of the
+// sweep behind a virtual feed(), so the chunk loops are engine- and
+// instrumentation-agnostic.  The virtual call is per chunk per pass, far
+// off the per-access hot path.
+class detail::sweep_pass {
+public:
+    virtual ~sweep_pass() = default;
+
+    // Feeds one chunk of the pre-decoded block-number stream (the
+    // simulate_blocks contract).  Chunked feeding is bit-identical to
+    // one-shot feeding, full instrumentation included
+    // (tests/dew/chunked_equivalence_test.cpp).
+    virtual void feed(std::span<const std::uint64_t> blocks) = 0;
+
+    [[nodiscard]] virtual dew_result result() const = 0;
+};
+
 namespace {
+
+// One wrapper serves every engine: DEW and CIPAR share the block-stream
+// contract (simulate_blocks on pre-decoded block numbers) and report the
+// same dew_result shape.
+template <class Sim>
+class engine_pass final : public detail::sweep_pass {
+public:
+    template <class... Args>
+    explicit engine_pass(Args&&... args)
+        : sim_{std::forward<Args>(args)...} {}
+
+    void feed(std::span<const std::uint64_t> blocks) override {
+        sim_.simulate_blocks(blocks);
+    }
+
+    [[nodiscard]] dew_result result() const override { return sim_.result(); }
+
+private:
+    Sim sim_;
+};
+
+// Instantiates the pass the request selects: engine (dew | cipar) crossed
+// with instrumentation (fast | full_counters), covering set counts
+// 2^0..2^max_set_exp at the given block size and associativity.
+// request.options apply to the DEW engine only.
+std::unique_ptr<detail::sweep_pass>
+make_sweep_pass(const sweep_request& request, std::uint32_t block_size,
+                std::uint32_t assoc) {
+    const bool counted =
+        request.instrumentation == sweep_instrumentation::full_counters;
+    if (request.engine == sweep_engine::cipar) {
+        if (counted) {
+            return std::make_unique<engine_pass<
+                cipar::basic_cipar_simulator<cipar::full_counters>>>(
+                request.max_set_exp, assoc, block_size);
+        }
+        return std::make_unique<
+            engine_pass<cipar::basic_cipar_simulator<cipar::fast>>>(
+            request.max_set_exp, assoc, block_size);
+    }
+    if (counted) {
+        return std::make_unique<
+            engine_pass<basic_dew_simulator<full_counters>>>(
+            request.max_set_exp, assoc, block_size, request.options);
+    }
+    return std::make_unique<engine_pass<basic_dew_simulator<fast>>>(
+        request.max_set_exp, assoc, block_size, request.options);
+}
 
 void decode_blocks(std::span<const trace::mem_access> chunk,
                    unsigned block_bits, std::vector<std::uint64_t>& out) {
@@ -102,7 +168,7 @@ session::session(trace::source& src, const sweep_request& request,
     passes_.reserve(keys_.size());
     for (const pass_key& key : keys_) {
         passes_.push_back(
-            detail::make_sweep_pass(request_, key.block_size, key.assoc));
+            make_sweep_pass(request_, key.block_size, key.assoc));
     }
 
     const bool threaded = request_.threads > 0 && passes_.size() > 1;

@@ -36,7 +36,7 @@ namespace dew::core {
 
 namespace detail {
 // Type-erased simulator pass (one engine x instrumentation instantiation);
-// defined in dew/pass.hpp.
+// defined in session.cpp.
 class sweep_pass;
 } // namespace detail
 

@@ -12,8 +12,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/bits.hpp"
-#include "dew/pass.hpp"
+#include "dew/sweep.hpp"
 #include "obs/recorder.hpp"
 #include "obs/registry.hpp"
 #include "obs/slo.hpp"
@@ -65,40 +64,38 @@ service_result to_result(const cached_value& value) {
     return out;
 }
 
+static_assert(alignof(std::uint64_t) >=
+              std::atomic_ref<std::uint64_t>::required_alignment);
+
 // Every stat the service counts, in one shared block: submission handles
 // (whose cancel() must keep counting after the service is destroyed) and
-// the service itself update the same atomics through a shared_ptr.
+// the service itself update the same counters through a shared_ptr.
 struct counters {
-    std::atomic<std::uint64_t> submitted{0};
-    std::atomic<std::uint64_t> completed{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> coalesced{0};
-    std::atomic<std::uint64_t> computations{0};
-    std::atomic<std::uint64_t> shard_jobs{0};
-    std::atomic<std::uint64_t> stream_builds{0};
-    std::atomic<std::uint64_t> stream_reuses{0};
-    std::atomic<std::uint64_t> rejected{0};
-    std::atomic<std::uint64_t> representative_served{0};
-    std::atomic<std::uint64_t> exact_fallbacks{0};
-    std::atomic<std::uint64_t> timeouts{0};
-    std::atomic<std::uint64_t> cancellations{0};
-    std::atomic<std::uint64_t> retries{0};
-    std::atomic<std::uint64_t> retry_successes{0};
-    std::atomic<std::uint64_t> transient_faults{0};
-    std::atomic<std::uint64_t> permanent_faults{0};
-    std::atomic<std::uint64_t> degraded_served{0};
-    std::atomic<std::uint64_t> expired_flights{0};
+    // The service_stats counters, every access through a relaxed
+    // std::atomic_ref.  The gauges and cache_evictions stay zero here;
+    // stats() reads them from their owners.
+    mutable service_stats totals;
 
     // Stage latency histograms (obs/histogram.hpp): relaxed atomics like
     // the counters above, recorded at stage granularity — submit, cache
-    // probe, queue wait, stream decode, shard execution, settle — never
-    // per access (the hot loops stay unobserved by construction).
+    // probe, queue wait, shard execution, settle — never per access (the
+    // hot loops stay unobserved by construction).
     obs::histogram submit_ns;
     obs::histogram cache_probe_ns;
     obs::histogram queue_wait_ns;
-    obs::histogram stream_build_ns;
     obs::histogram shard_ns;
     obs::histogram settle_ns;
+
+    void bump(std::uint64_t service_stats::*field) noexcept {
+        std::atomic_ref<std::uint64_t>{totals.*field}.fetch_add(
+            1, std::memory_order_relaxed);
+    }
+
+    [[nodiscard]] std::uint64_t
+    load(std::uint64_t service_stats::*field) const noexcept {
+        return std::atomic_ref<std::uint64_t>{totals.*field}.load(
+            std::memory_order_relaxed);
+    }
 };
 
 // One caller of one flight.  `deadline` is absolute (no_deadline = none);
@@ -118,22 +115,12 @@ struct waiter {
 
 } // namespace
 
-// One registered trace: the records, their content digest, and the lazily-
-// built block-number streams shared by every request that touches the trace.
+// One registered trace: the records and their content digest, immutable
+// once registered, so jobs read the records without a lock.
 struct service::trace_entry {
     std::string name;
     trace::mem_trace records;
     trace::trace_digest digest;
-    // Guards the `streams` map only — never a decode.  Each slot is a
-    // shared_future so a (trace, block size) stream is built exactly once
-    // no matter how many jobs race for it, while decodes of *different*
-    // block sizes run in parallel (the whole point of the one-shard-per-
-    // block-size fan-out on a cold trace).
-    std::mutex stream_mutex; // dewlint: lock-order serve-stream 50
-    std::unordered_map<
-        unsigned,
-        std::shared_future<std::shared_ptr<const std::vector<std::uint64_t>>>>
-        streams; // keyed by log2(block size)
 };
 
 // One coalesced computation: every submit of the same key while this flight
@@ -308,7 +295,7 @@ struct service::state {
         w.settled = true;
         --f.live;
         // Before the completion fires: get() must observe `completed`.
-        c.completed.fetch_add(1, std::memory_order_relaxed);
+        c.bump(&service_stats::completed);
         obs::request_event e = flight_event(f, node);
         e.correlation = w.correlation;
         e.trace_hi = w.trace_hi;
@@ -365,30 +352,33 @@ struct service::state {
     // sequentially, never nested, and never calls back into obs.
     void sample_metrics(std::vector<obs::metric_sample>& out) const {
         const counters& c = *ctrs;
-        const auto counter = [&out](const char* name,
-                                    const std::atomic<std::uint64_t>& v) {
-            out.push_back({name, obs::metric_kind::counter,
-                           v.load(std::memory_order_relaxed), {}});
+        // Literal names rather than a walk of service_stats_fields: the
+        // metric-catalogue lint checks these literals against the docs.
+        const auto counter = [&out, &c](const char* name,
+                                        std::uint64_t service_stats::*field) {
+            out.push_back(
+                {name, obs::metric_kind::counter, c.load(field), {}});
         };
-        counter("serve.submitted", c.submitted);
-        counter("serve.completed", c.completed);
-        counter("serve.cache_hits", c.cache_hits);
-        counter("serve.coalesced", c.coalesced);
-        counter("serve.computations", c.computations);
-        counter("serve.shard_jobs", c.shard_jobs);
-        counter("serve.stream_builds", c.stream_builds);
-        counter("serve.stream_reuses", c.stream_reuses);
-        counter("serve.rejected", c.rejected);
-        counter("serve.representative_served", c.representative_served);
-        counter("serve.exact_fallbacks", c.exact_fallbacks);
-        counter("serve.timeouts", c.timeouts);
-        counter("serve.cancellations", c.cancellations);
-        counter("serve.retries", c.retries);
-        counter("serve.retry_successes", c.retry_successes);
-        counter("serve.transient_faults", c.transient_faults);
-        counter("serve.permanent_faults", c.permanent_faults);
-        counter("serve.degraded_served", c.degraded_served);
-        counter("serve.expired_flights", c.expired_flights);
+        counter("serve.submitted", &service_stats::submitted);
+        counter("serve.completed", &service_stats::completed);
+        counter("serve.cache_hits", &service_stats::cache_hits);
+        counter("serve.coalesced", &service_stats::coalesced);
+        counter("serve.computations", &service_stats::computations);
+        counter("serve.shard_jobs", &service_stats::shard_jobs);
+        counter("serve.stream_builds", &service_stats::stream_builds);
+        counter("serve.stream_reuses", &service_stats::stream_reuses);
+        counter("serve.rejected", &service_stats::rejected);
+        counter("serve.representative_served",
+                &service_stats::representative_served);
+        counter("serve.exact_fallbacks", &service_stats::exact_fallbacks);
+        counter("serve.timeouts", &service_stats::timeouts);
+        counter("serve.cancellations", &service_stats::cancellations);
+        counter("serve.retries", &service_stats::retries);
+        counter("serve.retry_successes", &service_stats::retry_successes);
+        counter("serve.transient_faults", &service_stats::transient_faults);
+        counter("serve.permanent_faults", &service_stats::permanent_faults);
+        counter("serve.degraded_served", &service_stats::degraded_served);
+        counter("serve.expired_flights", &service_stats::expired_flights);
         const cache_stats cstats = cache.stats();
         const auto plain = [&out](const char* name, obs::metric_kind kind,
                                   std::uint64_t value) {
@@ -452,7 +442,6 @@ struct service::state {
         latency("serve.submit_ns", c.submit_ns);
         latency("serve.cache_probe_ns", c.cache_probe_ns);
         latency("serve.queue_wait_ns", c.queue_wait_ns);
-        latency("serve.stream_build_ns", c.stream_build_ns);
         latency("serve.shard_ns", c.shard_ns);
         latency("serve.settle_ns", c.settle_ns);
     }
@@ -480,8 +469,8 @@ struct service::state {
                                   const request_key& key,
                                   std::uint64_t admitted_ns,
                                   completion done) {
-        ctrs->cache_hits.fetch_add(1, std::memory_order_relaxed);
-        ctrs->completed.fetch_add(1, std::memory_order_relaxed);
+        ctrs->bump(&service_stats::cache_hits);
+        ctrs->bump(&service_stats::completed);
         obs::request_event e;
         e.trace_hi = normal.obs_trace_hi;
         e.trace_lo = normal.obs_trace_lo;
@@ -512,7 +501,7 @@ struct service::state {
                 cancelled.push_back(take(*f, index, node,
                                          obs::event_disposition::cancelled,
                                          *c));
-                c->cancellations.fetch_add(1, std::memory_order_relaxed);
+                c->bump(&service_stats::cancellations);
                 if (f->live == 0) {
                     f->abandoned.store(true, std::memory_order_release);
                 }
@@ -551,14 +540,13 @@ struct service::state {
                 expired.push_back(take(f, i, options.node_id,
                                        obs::event_disposition::timeout,
                                        *ctrs));
-                ctrs->timeouts.fetch_add(1, std::memory_order_relaxed);
+                ctrs->bump(&service_stats::timeouts);
             }
             f.earliest_deadline = next;
             if (f.live == 0 &&
                 !f.abandoned.load(std::memory_order_relaxed)) {
                 f.abandoned.store(true, std::memory_order_release);
-                ctrs->expired_flights.fetch_add(1,
-                                                std::memory_order_relaxed);
+                ctrs->bump(&service_stats::expired_flights);
             }
         }
         deliver(expired, *events, *slo,
@@ -574,102 +562,18 @@ struct service::state {
                    : f.request.sweep.block_sizes.size();
     }
 
-    [[nodiscard]] std::shared_ptr<const std::vector<std::uint64_t>>
-    block_stream(trace_entry& entry, std::uint32_t block_size,
-                 std::uint64_t correlation, std::uint64_t fp,
-                 std::uint64_t trace_hi, std::uint64_t trace_lo) {
-        const unsigned bits = log2_exact(block_size);
-        std::promise<std::shared_ptr<const std::vector<std::uint64_t>>>
-            promise;
-        std::shared_future<std::shared_ptr<const std::vector<std::uint64_t>>>
-            future;
-        bool builder = false;
-        {
-            const std::lock_guard<std::mutex> lock{entry.stream_mutex};
-            const auto it = entry.streams.find(bits);
-            if (it != entry.streams.end()) {
-                future = it->second;
-            } else {
-                future = promise.get_future().share();
-                entry.streams.emplace(bits, future);
-                builder = true;
-            }
-        }
-        if (!builder) {
-            // Either already decoded or being decoded by another worker;
-            // both count as a decode avoided.
-            ctrs->stream_reuses.fetch_add(1, std::memory_order_relaxed);
-            return future.get();
-        }
-        ctrs->stream_builds.fetch_add(1, std::memory_order_relaxed);
-        try {
-            // Attributed to the request that paid for the decode; every
-            // later request at this (trace, block size) reuses it free.
-            obs::span sp{"serve.stream_build", &ctrs->stream_build_ns,
-                         correlation, fp};
-            sp.set_trace(trace_hi, trace_lo);
-            auto stream =
-                std::make_shared<const std::vector<std::uint64_t>>(
-                    trace::block_numbers(
-                        {entry.records.data(), entry.records.size()}, bits));
-            promise.set_value(stream);
-            return stream;
-        } catch (...) {
-            // Unpublish the slot so a later job retries the decode; jobs
-            // already waiting on the future see this failure.
-            promise.set_exception(std::current_exception());
-            const std::lock_guard<std::mutex> lock{entry.stream_mutex};
-            entry.streams.erase(bits);
-            throw;
-        }
-    }
-
-    // One shard of an exact flight: every associativity pass of one block
-    // size, fed the shared pre-decoded stream in one shot (chunked feeding
-    // is bit-identical, so this equals the session's chunk loop).
+    // One shard of an exact flight: the canonical sweep restricted to one
+    // block size, run through run_sweep.  Its session decodes the records
+    // at that block size chunk by chunk and feeds every associativity
+    // pass, so the shard keeps no stream beyond one chunk.
     void run_exact_shard(flight& f, std::size_t shard) {
-        const std::uint32_t block = f.request.sweep.block_sizes[shard];
-        const auto stream = block_stream(*f.trace, block,
-                                         f.obs_correlation,
-                                         f.obs_fingerprint,
-                                         f.request.obs_trace_hi,
-                                         f.request.obs_trace_lo);
-        std::vector<core::dew_result> results;
-        results.reserve(f.request.sweep.associativities.size());
-        for (const std::uint32_t assoc : f.request.sweep.associativities) {
-            const auto pass =
-                core::detail::make_sweep_pass(f.request.sweep, block, assoc);
-            pass->feed({stream->data(), stream->size()});
-            results.push_back(pass->result());
-        }
+        core::sweep_request one_block = f.request.sweep;
+        one_block.block_sizes = {f.request.sweep.block_sizes[shard]};
+        ctrs->bump(&service_stats::stream_builds);
+        core::sweep_result result =
+            core::run_sweep(f.trace->records, one_block);
         const std::lock_guard<std::mutex> lock{f.mutex};
-        f.shard_results[shard] = std::move(results);
-    }
-
-    // Serial exact sweep over the shared streams — the representative
-    // tier's fallback path.  Same passes, same order as the shard path.
-    [[nodiscard]] std::shared_ptr<const core::sweep_result>
-    exact_sweep(flight& f) {
-        auto sweep = std::make_shared<core::sweep_result>();
-        sweep->requests = f.trace->records.size();
-        for (const std::uint32_t block : f.request.sweep.block_sizes) {
-            const auto stream = block_stream(*f.trace, block,
-                                             f.obs_correlation,
-                                             f.obs_fingerprint,
-                                             f.request.obs_trace_hi,
-                                             f.request.obs_trace_lo);
-            for (const std::uint32_t assoc :
-                 f.request.sweep.associativities) {
-                const auto pass = core::detail::make_sweep_pass(
-                    f.request.sweep, block, assoc);
-                pass->feed({stream->data(), stream->size()});
-                sweep->passes.push_back(pass->result());
-            }
-        }
-        sweep->seconds = std::chrono::duration<double>(
-                             clock::now() - f.start)
-                             .count();
-        return sweep;
+        f.shard_results[shard] = std::move(result.passes);
     }
 
     void run_representative(flight& f) {
@@ -689,14 +593,14 @@ struct service::state {
         value.max_abs_error_pp = estimate->max_abs_error_pp;
         if (rep.calibrate &&
             estimate->max_abs_error_pp > f.request.error_budget_pp) {
-            value.sweep = exact_sweep(f);
+            value.sweep = std::make_shared<const core::sweep_result>(
+                core::run_sweep(f.trace->records, f.request.sweep));
             value.fell_back_exact = true;
-            ctrs->exact_fallbacks.fetch_add(1, std::memory_order_relaxed);
+            ctrs->bump(&service_stats::exact_fallbacks);
         } else if (f.degraded) {
-            ctrs->degraded_served.fetch_add(1, std::memory_order_relaxed);
+            ctrs->bump(&service_stats::degraded_served);
         } else {
-            ctrs->representative_served.fetch_add(1,
-                                                  std::memory_order_relaxed);
+            ctrs->bump(&service_stats::representative_served);
         }
         const std::lock_guard<std::mutex> lock{f.mutex};
         f.value = std::move(value);
@@ -726,7 +630,7 @@ struct service::state {
             }
             return;
         }
-        ctrs->shard_jobs.fetch_add(1, std::memory_order_relaxed);
+        ctrs->bump(&service_stats::shard_jobs);
         try {
             obs::span sp{"serve.shard", &ctrs->shard_ns, f.obs_correlation,
                          f.obs_fingerprint};
@@ -793,17 +697,15 @@ struct service::state {
         if (error) {
             const fault_class cls = classify_fault(error);
             if (cls == fault_class::transient) {
-                ctrs->transient_faults.fetch_add(1,
-                                                 std::memory_order_relaxed);
+                ctrs->bump(&service_stats::transient_faults);
             } else {
-                ctrs->permanent_faults.fetch_add(1,
-                                                 std::memory_order_relaxed);
+                ctrs->bump(&service_stats::permanent_faults);
             }
             const unsigned attempt =
                 f->attempt.load(std::memory_order_relaxed);
             if (cls == fault_class::transient && !abandoned &&
                 attempt < options.max_retries) {
-                ctrs->retries.fetch_add(1, std::memory_order_relaxed);
+                ctrs->bump(&service_stats::retries);
                 // Capped exponential backoff, slept on this worker: the
                 // cap bounds how long one transient fault can idle a
                 // worker thread (default 50 ms).
@@ -865,10 +767,9 @@ struct service::state {
             value = f->value; // shared payload; waiters and cache alias it
         }
         if (!error && !abandoned) {
-            ctrs->computations.fetch_add(1, std::memory_order_relaxed);
+            ctrs->bump(&service_stats::computations);
             if (f->attempt.load(std::memory_order_relaxed) > 0) {
-                ctrs->retry_successes.fetch_add(1,
-                                                std::memory_order_relaxed);
+                ctrs->bump(&service_stats::retry_successes);
             }
             if (!f->degraded) {
                 cache.insert(f->key,
@@ -889,7 +790,7 @@ struct service::state {
                 : first);
         settle_span.finish();
         // The whole-flight span: creation -> settled, the envelope the
-        // queue/stream/shard spans decompose.
+        // queue/shard/settle spans decompose.
         if (f->start_ns != 0) {
             obs::recorder::instance().record(
                 "serve.flight", f->start_ns, obs::now_ns() - f->start_ns,
@@ -935,7 +836,7 @@ struct service::state {
         std::unique_lock<std::mutex> lock{queue_mutex};
         if (options.overflow == overflow_policy::fail_fast) {
             if (queue.size() + jobs > options.queue_capacity) {
-                ctrs->rejected.fetch_add(1, std::memory_order_relaxed);
+                ctrs->bump(&service_stats::rejected);
                 throw service_overloaded{
                     "serve: job queue full (" +
                     std::to_string(queue.size()) + " of " +
@@ -1094,10 +995,8 @@ trace::trace_digest service::add_trace(std::string name,
             "); names are aliases, not versions"};
     }
     // A new name for already-registered content aliases the existing
-    // entry: one copy of the records, one stream cache — streams decoded
-    // under the first name serve every alias, keeping the decode-once
-    // contract corpus-wide.  (Linear scan: a corpus holds tens of traces,
-    // not thousands.)
+    // entry: one copy of the records under every name.  (Linear scan: a
+    // corpus holds tens of traces, not thousands.)
     for (const auto& [existing_name, existing] : state_->traces) {
         if (existing->digest == digest) {
             state_->traces.emplace(std::move(name), existing);
@@ -1173,7 +1072,7 @@ cancel_lever service::submit(std::string_view trace_name,
         }
         entry = it->second;
     }
-    s.ctrs->submitted.fetch_add(1, std::memory_order_relaxed);
+    s.ctrs->bump(&service_stats::submitted);
     if (deadline_at != no_deadline) {
         s.has_deadlines.store(true, std::memory_order_relaxed);
     }
@@ -1225,7 +1124,7 @@ cancel_lever service::submit(std::string_view trace_name,
                 // Identical question already in the air: one computation,
                 // one more waiter.
                 submit_span.finish();
-                s.ctrs->coalesced.fetch_add(1, std::memory_order_relaxed);
+                s.ctrs->bump(&service_stats::coalesced);
                 return s.make_cancel(current, join(*current));
             }
         }
@@ -1325,29 +1224,10 @@ void service::resume() {
 service_stats service::stats() const {
     const counters& c = *state_->ctrs;
     service_stats out;
-    out.submitted = c.submitted.load(std::memory_order_relaxed);
-    out.completed = c.completed.load(std::memory_order_relaxed);
-    out.cache_hits = c.cache_hits.load(std::memory_order_relaxed);
-    out.coalesced = c.coalesced.load(std::memory_order_relaxed);
-    out.computations = c.computations.load(std::memory_order_relaxed);
-    out.shard_jobs = c.shard_jobs.load(std::memory_order_relaxed);
-    out.stream_builds = c.stream_builds.load(std::memory_order_relaxed);
-    out.stream_reuses = c.stream_reuses.load(std::memory_order_relaxed);
-    out.rejected = c.rejected.load(std::memory_order_relaxed);
-    out.representative_served =
-        c.representative_served.load(std::memory_order_relaxed);
-    out.exact_fallbacks = c.exact_fallbacks.load(std::memory_order_relaxed);
+    for (const auto& [name, field] : service_stats_fields) {
+        out.*field = c.load(field);
+    }
     out.cache_evictions = state_->cache.stats().evictions;
-    out.timeouts = c.timeouts.load(std::memory_order_relaxed);
-    out.cancellations = c.cancellations.load(std::memory_order_relaxed);
-    out.retries = c.retries.load(std::memory_order_relaxed);
-    out.retry_successes = c.retry_successes.load(std::memory_order_relaxed);
-    out.transient_faults =
-        c.transient_faults.load(std::memory_order_relaxed);
-    out.permanent_faults =
-        c.permanent_faults.load(std::memory_order_relaxed);
-    out.degraded_served = c.degraded_served.load(std::memory_order_relaxed);
-    out.expired_flights = c.expired_flights.load(std::memory_order_relaxed);
     {
         const std::lock_guard<std::mutex> lock{state_->flights_mutex};
         out.inflight_flights = state_->flights.size();

@@ -23,21 +23,16 @@
 //     shard job per distinct block size; shard jobs of all requests
 //     interleave on a fixed worker pool above a bounded queue
 //     (overflow_policy: callers block, fail fast with service_overloaded,
-//     or degrade to the estimate tier past a high-watermark).  Shard jobs
-//     pull their block-number stream from a per-trace stream cache, so a
-//     trace is decoded at a given block size once — across requests, not
-//     just within one (the PR-1 decode-once contract lifted to the corpus
-//     level).  The stream cache is a deliberate space-time trade: it
-//     retains 8 bytes/record per distinct block size requested against a
-//     trace, for the trace's lifetime — bounded by corpus size x
-//     block-size grid (the records themselves already cost 16 B/record),
-//     NOT by request volume.  A corpus whose traces are too large for that
-//     product belongs on the direct streaming run_sweep path, which never
-//     materialises anything.
+//     or degrade to the estimate tier past a high-watermark).  A shard job
+//     is one run_sweep over the canonical sweep narrowed to its block
+//     size: the session decodes the resident records chunk by chunk, so a
+//     shard holds one chunk's block numbers and nothing outlives the job.
+//     Beyond the records themselves (16 B/record), nothing derived from
+//     a trace is retained.
 //   * Tiers.  service_mode::exact runs the engine the request names (dew |
 //     cipar) and is bit-identical to run_sweep(trace, canonical(request))
-//     by construction — shard jobs run the same detail::make_sweep_pass
-//     instantiations the session would.  service_mode::representative
+//     because each shard calls run_sweep and the service only concatenates
+//     the shards' passes in block order.  service_mode::representative
 //     serves phase-analysis estimates (src/phase/): with a positive error
 //     budget the estimate is calibrated and the service falls back to the
 //     exact result when the measured error exceeds the budget, so a served
@@ -206,8 +201,8 @@ struct service_stats {
     std::uint64_t coalesced{0};    // submits folded into an in-flight flight
     std::uint64_t computations{0}; // flights actually simulated
     std::uint64_t shard_jobs{0};   // jobs executed by the pool
-    std::uint64_t stream_builds{0}; // (trace, block size) decodes performed
-    std::uint64_t stream_reuses{0}; // decodes avoided by the stream cache
+    std::uint64_t stream_builds{0}; // block-size decodes shard jobs ran
+    std::uint64_t stream_reuses{0}; // always 0: no decode is shared
     std::uint64_t rejected{0};      // fail-fast overflow rejections
     std::uint64_t representative_served{0};
     std::uint64_t exact_fallbacks{0};

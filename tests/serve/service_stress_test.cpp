@@ -126,9 +126,10 @@ TEST(ServiceStress, ConcurrentMixedSubmissionsStayExactAndNeverRecompute) {
               total - stats.computations);
     EXPECT_EQ(stats.coalesced, coalesced_results);
     EXPECT_EQ(stats.cache_hits, cache_hit_results);
-    // The trace was decoded exactly twice (blocks 16 and 32) for the whole
-    // storm.
-    EXPECT_EQ(stats.stream_builds, 2u);
+    // One block-size decode per shard job run; no stream is kept for a
+    // later job to reuse.
+    EXPECT_EQ(stats.stream_builds, stats.shard_jobs);
+    EXPECT_EQ(stats.stream_reuses, 0u);
 }
 
 TEST(ServiceStress, GatedDuplicateStormCoalescesToOneComputationExactly) {

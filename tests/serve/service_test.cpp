@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
+#include <fstream>
 #include <future>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dew/session.hpp"
@@ -114,13 +118,17 @@ TEST(Service, CacheHitsNeverRecomputeAndSpellingDoesNotMatter) {
     svc.add_trace("alias", workload());
     EXPECT_TRUE(svc.submit("alias", request).get().cache_hit);
 
-    // The alias shares the block-stream cache too: an *uncached* request
-    // under the alias reuses the streams decoded under the first name.
-    const std::uint64_t builds_before = svc.stats().stream_builds;
+    // An *uncached* request under the alias runs one shard job per block
+    // size, and each shard job decodes its own block size: nothing is
+    // retained between requests, so nothing is reused.
+    const service_stats before = svc.stats();
     service_request fresh = request;
     fresh.sweep.max_set_exp = 6;
     EXPECT_FALSE(svc.submit("alias", fresh).get().cache_hit);
-    EXPECT_EQ(svc.stats().stream_builds, builds_before);
+    const service_stats after = svc.stats();
+    EXPECT_EQ(after.shard_jobs - before.shard_jobs, 2u);
+    EXPECT_EQ(after.stream_builds - before.stream_builds, 2u);
+    EXPECT_EQ(after.stream_reuses, 0u);
 }
 
 TEST(Service, DuplicateInFlightRequestsCoalesceDeterministically) {
@@ -207,20 +215,21 @@ TEST(Service, EachCoalescedWaiterGetsItsOwnCompletion) {
     EXPECT_EQ(svc.stats().computations, 1u);
 }
 
-TEST(Service, SharedStreamsDecodeOncePerBlockSizeAcrossRequests) {
+TEST(Service, StreamBuildsCountOneDecodePerShardJob) {
     service svc{};
     svc.add_trace("cjpeg", workload());
     service_request a = exact_request(); // blocks {16, 32}
     service_request b = exact_request();
     b.sweep.max_set_exp = 6; // distinct request, same trace, same blocks
     service_request c = exact_request();
-    c.sweep.block_sizes = {16, 64}; // one shared stream, one new
+    c.sweep.block_sizes = {16, 64}; // 16 again: decoded again
     (void)svc.submit("cjpeg", a).get();
     (void)svc.submit("cjpeg", b).get();
     (void)svc.submit("cjpeg", c).get();
     const service_stats stats = svc.stats();
-    EXPECT_EQ(stats.stream_builds, 3u);  // 16, 32, 64: decoded once each
-    EXPECT_EQ(stats.stream_reuses, 3u);  // b's two shards + c's 16 shard
+    EXPECT_EQ(stats.shard_jobs, 6u);    // two block sizes per request
+    EXPECT_EQ(stats.stream_builds, 6u); // each shard job decodes its own
+    EXPECT_EQ(stats.stream_reuses, 0u); // no stream outlives its shard
 }
 
 TEST(Service, RepresentativeTierReportsErrorOrFallsBack) {
@@ -375,6 +384,44 @@ TEST(Service, DrainWaitsForAllOutstandingWork) {
         EXPECT_EQ(future.wait_for(std::chrono::seconds{0}),
                   std::future_status::ready);
     }
+}
+
+// Peak resident set (VmHWM) in KiB.
+std::size_t peak_rss_kib() {
+    std::ifstream status{"/proc/self/status"};
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmHWM:", 0) == 0) {
+            return std::stoul(line.substr(6));
+        }
+    }
+    return 0;
+}
+
+TEST(Service, ExactShardsRetainNoBlockStreams) {
+    // Every paper block size against one large trace: a shard job streams
+    // its block size through a session in bounded chunks, so serving the
+    // whole grid costs O(chunk) beyond the resident records, never
+    // 8 B/record per block size.  A small tree and one associativity keep
+    // the simulation itself cheap under the sanitizers.
+    constexpr std::size_t records = 1'000'000;
+    service svc{};
+    svc.add_trace("large", trace::make_mediabench_trace(
+                               trace::mediabench_app::mpeg2_dec, records));
+    const std::size_t before_kib = peak_rss_kib();
+    for (const std::uint32_t block : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
+        service_request request;
+        request.sweep.max_set_exp = 2;
+        request.sweep.block_sizes = {block};
+        request.sweep.associativities = {2};
+        const service_result answer = svc.submit("large", request).get();
+        ASSERT_NE(answer.sweep, nullptr);
+        EXPECT_EQ(answer.sweep->requests, records);
+    }
+    const std::size_t grown_kib = peak_rss_kib() - before_kib;
+    EXPECT_LT(grown_kib, std::size_t{16} << 10)
+        << "peak RSS grew by " << (grown_kib >> 10) << " MiB";
+    EXPECT_EQ(svc.stats().stream_builds, 7u);
 }
 
 TEST(Service, RejectsZeroWorkersOrQueue) {

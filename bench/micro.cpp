@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <thread>
 
@@ -801,6 +802,85 @@ net_measurement measure_net() {
     return m;
 }
 
+// The CPU model from /proc/cpuinfo, "unknown" where that file is absent.
+// Quotes and backslashes are dropped so the value is a plain JSON string.
+std::string host_cpu() {
+    std::FILE* in = std::fopen("/proc/cpuinfo", "r");
+    if (in == nullptr) {
+        return "unknown";
+    }
+    std::string model = "unknown";
+    char line[512];
+    while (std::fgets(line, sizeof line, in) != nullptr) {
+        const std::string_view text{line};
+        if (!text.starts_with("model name")) {
+            continue;
+        }
+        const std::size_t colon = text.find(':');
+        if (colon == std::string_view::npos) {
+            break;
+        }
+        model.clear();
+        for (const char c : text.substr(colon + 1)) {
+            if (c != '"' && c != '\\' && c != '\n') {
+                model.push_back(c);
+            }
+        }
+        model.erase(0, model.find_first_not_of(' '));
+        break;
+    }
+    std::fclose(in);
+    return model;
+}
+
+// Serial run_sweep of the paper's 525-configuration grid over the micro
+// trace: best of json_repetitions, in milliseconds.  Every pass is first
+// checked bit-identical, counters included, against a standalone counted
+// simulator of its (block size, associativity).
+double measure_paper_sweep_ms(const trace::mem_trace& trace) {
+    core::sweep_request request = core::sweep_request::paper();
+    request.instrumentation = core::sweep_instrumentation::full_counters;
+    const core::sweep_result counted = core::run_sweep(trace, request);
+    std::size_t pass = 0;
+    for (const std::uint32_t block : request.block_sizes) {
+        for (const std::uint32_t assoc : request.associativities) {
+            core::dew_simulator sim{request.max_set_exp, assoc, block};
+            sim.simulate(trace);
+            const core::dew_result want = sim.result();
+            const core::dew_result& got = counted.passes[pass++];
+            for (unsigned level = 0; level <= request.max_set_exp; ++level) {
+                DEW_ASSERT(got.misses(level, assoc) == want.misses(level, assoc));
+                DEW_ASSERT(got.misses(level, 1) == want.misses(level, 1));
+            }
+            const core::dew_counters& a = got.counters();
+            const core::dew_counters& b = want.counters();
+            DEW_ASSERT(a.node_evaluations == b.node_evaluations);
+            DEW_ASSERT(a.mra_hits == b.mra_hits);
+            DEW_ASSERT(a.wave_checks == b.wave_checks);
+            DEW_ASSERT(a.mre_determinations == b.mre_determinations);
+            DEW_ASSERT(a.searches == b.searches);
+            DEW_ASSERT(a.tag_comparisons == b.tag_comparisons);
+        }
+    }
+
+    request.instrumentation = core::sweep_instrumentation::fast;
+    double best = 1e300;
+    for (int rep = 0; rep < json_repetitions; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const core::sweep_result fast = core::run_sweep(trace, request);
+        const auto t1 = std::chrono::steady_clock::now();
+        best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+        for (std::size_t i = 0; i < fast.passes.size(); ++i) {
+            const core::dew_result& a = fast.passes[i];
+            for (unsigned level = 0; level <= a.max_level(); ++level) {
+                DEW_ASSERT(a.misses(level, a.associativity()) ==
+                           counted.passes[i].misses(level, a.associativity()));
+            }
+        }
+    }
+    return best * 1e3;
+}
+
 void write_micro_json() {
     const trace::mem_trace& trace = bench_trace();
 
@@ -853,6 +933,7 @@ void write_micro_json() {
     const phase_measurement phases = measure_phase();
     const service_measurement serve = measure_service();
     const net_measurement net = measure_net();
+    const double paper_sweep_ms = measure_paper_sweep_ms(trace);
 
     std::FILE* out = std::fopen("BENCH_micro.json", "w");
     if (out == nullptr) {
@@ -946,7 +1027,13 @@ void write_micro_json() {
     std::fprintf(out, "  \"net_p99_us\": %.3f,\n", net.p99_ms * 1e3);
     std::fprintf(out, "  \"serve_p50_us\": %.3f,\n", serve.p50_ms * 1e3);
     std::fprintf(out, "  \"serve_p95_us\": %.3f,\n", serve.p95_ms * 1e3);
-    std::fprintf(out, "  \"serve_p99_us\": %.3f\n", serve.p99_ms * 1e3);
+    std::fprintf(out, "  \"serve_p99_us\": %.3f,\n", serve.p99_ms * 1e3);
+    // The host stamp, so the committed trajectory says where it was taken.
+    std::fprintf(out, "  \"host_cpu\": \"%s\",\n", host_cpu().c_str());
+    std::fprintf(out, "  \"host_cores\": %u,\n",
+                 std::thread::hardware_concurrency());
+    std::fprintf(out, "  \"build_type\": \"%s\",\n", DEW_BUILD_TYPE);
+    std::fprintf(out, "  \"paper_sweep_ms\": %.1f\n", paper_sweep_ms);
     std::fprintf(out, "}\n");
     std::fclose(out);
 
@@ -989,6 +1076,8 @@ void write_micro_json() {
                 "on the serving mix\n",
                 serve.p50_ms, serve.p95_ms, serve.p99_ms,
                 serve.obs_overhead_pct, serve.obs_overhead_spread_pct);
+    std::printf("paper grid (525 configurations, serial): %.1f ms\n",
+                paper_sweep_ms);
     std::printf("sweep memory: eager %.1f B/ref vs streaming %.2f B/ref "
                 "(x%.0f smaller), throughput %.2fM vs %.2fM acc/s\n\n",
                 sweeps.eager.peak_bytes_per_ref,

@@ -9,6 +9,9 @@
 // function instead of letting the dispatch switch merge every
 // specialisation into one oversized caller.  Both degrade gracefully to
 // plain `inline`/nothing on compilers without the attribute.
+//
+// prefetch_for_write asks for the cache line holding `address`, for a
+// coming store, and is a no-op where the builtin does not exist.
 #ifndef DEW_COMMON_HINTS_HPP
 #define DEW_COMMON_HINTS_HPP
 
@@ -19,5 +22,17 @@
 #define DEW_ALWAYS_INLINE inline
 #define DEW_NOINLINE
 #endif
+
+namespace dew {
+
+inline void prefetch_for_write(const void* address) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(address, 1, 3);
+#else
+    (void)address;
+#endif
+}
+
+} // namespace dew
 
 #endif // DEW_COMMON_HINTS_HPP

@@ -24,20 +24,23 @@ class detail::sweep_pass {
 public:
     virtual ~sweep_pass() = default;
 
-    // Feeds one chunk of the pre-decoded block-number stream (the
-    // simulate_blocks contract).  Chunked feeding is bit-identical to
-    // one-shot feeding, full instrumentation included
-    // (tests/dew/chunked_equivalence_test.cpp).
-    virtual void feed(std::span<const std::uint64_t> blocks) = 0;
+    // Feeds one chunk of the pass's block size.  A DEW pass runs stage 2
+    // on `walks`, the chunk's shared stage-1 output; a CIPAR pass takes the
+    // pre-decoded block-number stream `blocks` (the simulate_blocks
+    // contract).  Chunked feeding is bit-identical to one-shot feeding,
+    // full instrumentation included (tests/dew/session_test.cpp,
+    // tests/dew/chunked_equivalence_test.cpp).
+    virtual void feed(std::span<const std::uint64_t> blocks,
+                      const mra_walks& walks) = 0;
 
     [[nodiscard]] virtual dew_result result() const = 0;
 };
 
 namespace {
 
-// One wrapper serves every engine: DEW and CIPAR share the block-stream
-// contract (simulate_blocks on pre-decoded block numbers) and report the
-// same dew_result shape.
+// One wrapper serves every engine, and both report the same dew_result
+// shape: a DEW pass (basic_dew_pass) walks stage 1's output, a CIPAR pass
+// takes the decoded stream.
 template <class Sim>
 class engine_pass final : public detail::sweep_pass {
 public:
@@ -45,8 +48,13 @@ public:
     explicit engine_pass(Args&&... args)
         : sim_{std::forward<Args>(args)...} {}
 
-    void feed(std::span<const std::uint64_t> blocks) override {
-        sim_.simulate_blocks(blocks);
+    void feed(std::span<const std::uint64_t> blocks,
+              const mra_walks& walks) override {
+        if constexpr (requires { sim_.walk(walks); }) {
+            sim_.walk(walks);
+        } else {
+            sim_.simulate_blocks(blocks);
+        }
     }
 
     [[nodiscard]] dew_result result() const override { return sim_.result(); }
@@ -75,11 +83,10 @@ make_sweep_pass(const sweep_request& request, std::uint32_t block_size,
             request.max_set_exp, assoc, block_size);
     }
     if (counted) {
-        return std::make_unique<
-            engine_pass<basic_dew_simulator<full_counters>>>(
+        return std::make_unique<engine_pass<basic_dew_pass<full_counters>>>(
             request.max_set_exp, assoc, block_size, request.options);
     }
-    return std::make_unique<engine_pass<basic_dew_simulator<fast>>>(
+    return std::make_unique<engine_pass<basic_dew_pass<fast>>>(
         request.max_set_exp, assoc, block_size, request.options);
 }
 
@@ -94,18 +101,24 @@ void decode_blocks(std::span<const trace::mem_access> chunk,
 } // namespace
 
 // Chunk-generation barrier: the owning thread bumps `generation` and waits
-// on done_cv; each worker processes passes off the shared cursor for that
-// generation, and the last one to finish signals completion.  The mutexed
-// generation handoff orders the stream writes before the workers' reads,
-// and the completion wait orders the workers' simulator writes before the
-// owner reads results.
+// on done_cv; each worker takes units off the shared cursor for that
+// generation, and the last one to finish signals completion.  The units of
+// one chunk are one stream unit per distinct block size (decode, then stage
+// 1 for the DEW engine), followed by one unit per pass.  Every stream unit
+// is handed out before any pass unit, so a pass unit that finds its stream
+// not yet published waits on `ready` for a stream already in progress.  The
+// mutexed generation handoff orders the chunk before the workers' reads,
+// `ready` orders each stream before its passes read it, and the completion
+// wait orders the workers' simulator writes before the owner reads results.
 //
-// A throw from simulate_blocks on a worker must not escape the thread body
-// (that would be std::terminate): the worker captures it here instead, and
+// A throw from a unit on a worker must not escape the thread body (that
+// would be std::terminate): the worker captures it here instead, and
 // feed_threaded rethrows it on the owning thread once the generation
 // barrier completes, so the caller sees the same exception the serial path
-// would have thrown.  Only the first exception of a generation is kept;
-// later ones (typically the same fault on sibling passes) are dropped.
+// would have thrown.  A failed stream unit still publishes its stream, as
+// failed, so its passes skip it instead of waiting.  Only the first
+// exception of a generation is kept; later ones (typically the same fault
+// on sibling passes) are dropped.
 struct session::worker_pool {
     std::mutex mutex; // dewlint: lock-order session-pool 10
     std::condition_variable start_cv;
@@ -115,8 +128,19 @@ struct session::worker_pool {
     bool stop{false};
     bool dead{false};         // a worker's barrier machinery itself threw
     std::exception_ptr error; // first worker throw of this generation
+    std::span<const trace::mem_access> chunk; // of the current generation
     std::atomic<std::size_t> cursor{0};
+    // Per distinct block size: 2 * generation + 1 once that generation's
+    // stream is ready, 2 * generation if its unit threw.
+    std::unique_ptr<std::atomic<std::uint64_t>[]> ready;
     std::vector<std::thread> workers;
+
+    void keep_error(std::exception_ptr thrown) {
+        const std::lock_guard<std::mutex> lock{mutex};
+        if (!error) {
+            error = std::move(thrown);
+        }
+    }
 
     ~worker_pool() {
         {
@@ -172,10 +196,23 @@ session::session(trace::source& src, const sweep_request& request,
     }
 
     const bool threaded = request_.threads > 0 && passes_.size() > 1;
-    streams_.resize(threaded ? stream_block_sizes_.size() : 1);
+    const std::size_t live_streams =
+        threaded ? stream_block_sizes_.size() : 1;
+    streams_.resize(live_streams);
+    walks_.resize(stream_block_sizes_.size());
+    if (request_.engine == sweep_engine::dew) {
+        stages_.reserve(stream_block_sizes_.size());
+        for (std::size_t s = 0; s < stream_block_sizes_.size(); ++s) {
+            stages_.emplace_back(request_.max_set_exp,
+                                 request_.options.use_mra_stop);
+        }
+        walk_buffers_.resize(live_streams);
+    }
 
     if (threaded) {
         pool_ = std::make_unique<worker_pool>();
+        pool_->ready = std::make_unique<std::atomic<std::uint64_t>[]>(
+            stream_block_sizes_.size());
         const unsigned worker_count = std::min<unsigned>(
             request_.threads, static_cast<unsigned>(passes_.size()));
         pool_->workers.reserve(worker_count);
@@ -202,22 +239,9 @@ session::session(trace::source& src, const sweep_request& request,
                             seen = pool.generation;
                         }
                         try {
-                            for (;;) {
-                                const std::size_t index =
-                                    pool.cursor.fetch_add(
-                                        1, std::memory_order_relaxed);
-                                if (index >= passes_.size()) {
-                                    break;
-                                }
-                                passes_[index]->feed(
-                                    streams_[keys_[index].stream]);
-                            }
+                            run_units(seen);
                         } catch (...) {
-                            const std::lock_guard<std::mutex> lock{
-                                pool.mutex};
-                            if (!pool.error) {
-                                pool.error = std::current_exception();
-                            }
+                            pool.keep_error(std::current_exception());
                         }
                         {
                             const std::lock_guard<std::mutex> lock{
@@ -242,34 +266,82 @@ session::session(trace::source& src, const sweep_request& request,
 
 session::~session() = default;
 
+void session::prepare_stream(std::span<const trace::mem_access> chunk,
+                             std::size_t s) {
+    // Serial sessions keep one live buffer and reuse it for every block size.
+    const std::size_t buffer = std::min(s, streams_.size() - 1);
+    std::vector<std::uint64_t>& stream = streams_[buffer];
+    decode_blocks(chunk, log2_exact(stream_block_sizes_[s]), stream);
+    if (!stages_.empty()) {
+        walks_[s] = stages_[s].run(stream, walk_buffers_[buffer]);
+    }
+}
+
+void session::feed_stream(std::size_t pass) {
+    const std::size_t s = keys_[pass].stream;
+    passes_[pass]->feed(streams_[std::min(s, streams_.size() - 1)],
+                        walks_[s]);
+}
+
 void session::feed_serial(std::span<const trace::mem_access> chunk) {
-    // One stream buffer is live at a time: decode this chunk at one block
-    // size, feed every pass of that block size, then reuse the buffer for
-    // the next block size.
-    std::vector<std::uint64_t>& stream = streams_.front();
+    // One stream is live at a time: decode this chunk at one block size,
+    // run its shared stage 1, feed every pass of that block size, then
+    // reuse the buffers for the next block size.
     for (std::size_t s = 0; s < stream_block_sizes_.size(); ++s) {
-        decode_blocks(chunk, log2_exact(stream_block_sizes_[s]), stream);
+        prepare_stream(chunk, s);
         for (std::size_t i = 0; i < keys_.size(); ++i) {
             if (keys_[i].stream == s) {
-                passes_[i]->feed(stream);
+                feed_stream(i);
             }
+        }
+    }
+}
+
+void session::run_units(std::uint64_t generation) {
+    worker_pool& pool = *pool_;
+    const std::size_t streams = stream_block_sizes_.size();
+    for (;;) {
+        const std::size_t unit =
+            pool.cursor.fetch_add(1, std::memory_order_relaxed);
+        if (unit >= streams + passes_.size()) {
+            return;
+        }
+        if (unit < streams) {
+            std::uint64_t published = 2 * generation;
+            try {
+                prepare_stream(pool.chunk, unit);
+                ++published;
+            } catch (...) {
+                pool.keep_error(std::current_exception());
+            }
+            pool.ready[unit].store(published, std::memory_order_release);
+            pool.ready[unit].notify_all();
+            continue;
+        }
+        const std::size_t pass = unit - streams;
+        std::atomic<std::uint64_t>& ready = pool.ready[keys_[pass].stream];
+        std::uint64_t seen = ready.load(std::memory_order_acquire);
+        while (seen / 2 != generation) {
+            ready.wait(seen, std::memory_order_acquire);
+            seen = ready.load(std::memory_order_acquire);
+        }
+        if (seen % 2 == 1) {
+            feed_stream(pass);
         }
     }
 }
 
 void session::feed_threaded(std::span<const trace::mem_access> chunk) {
     // Passes of different block sizes run concurrently, so every distinct
-    // stream of this chunk is decoded upfront — chunk * 8 bytes per distinct
-    // block size, the O(chunk) threaded memory bound.
-    for (std::size_t s = 0; s < stream_block_sizes_.size(); ++s) {
-        decode_blocks(chunk, log2_exact(stream_block_sizes_[s]), streams_[s]);
-    }
-    // Hand the chunk to the persistent pool and wait for the barrier: the
-    // atomic cursor balances pass costs; passes are independent, so the
-    // assignment order cannot affect results.
+    // stream of this chunk is live at once — chunk * 13 bytes per distinct
+    // block size, the O(chunk) threaded memory bound.  Hand the chunk to
+    // the persistent pool and wait for the barrier: the atomic cursor
+    // balances unit costs; passes are independent, so the assignment order
+    // cannot affect results.
     worker_pool& pool = *pool_;
     {
         const std::lock_guard<std::mutex> lock{pool.mutex};
+        pool.chunk = chunk;
         pool.cursor.store(0, std::memory_order_relaxed);
         pool.running = pool.workers.size();
         ++pool.generation;
@@ -342,6 +414,9 @@ std::size_t session::buffer_bytes() const noexcept {
         chunk_buffer_.capacity() * sizeof(trace::mem_access);
     for (const std::vector<std::uint64_t>& stream : streams_) {
         total += stream.capacity() * sizeof(std::uint64_t);
+    }
+    for (const mra_walk_buffer& buffer : walk_buffers_) {
+        total += buffer.bytes();
     }
     return total;
 }

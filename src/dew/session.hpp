@@ -2,18 +2,23 @@
 //
 // A session owns one sweep over one trace::source: each step() pulls a chunk
 // of records (zero-copy for in-memory sources), decodes it once per distinct
-// block size into a block-number stream, and feeds that stream to every
-// associativity pass of the block size before the next chunk is pulled.
+// block size into a block-number stream, runs the DEW walk's stage 1 (the
+// MRA plane shared by every associativity, dew/mra_stage.hpp) once on that
+// stream, and feeds its output to every associativity pass of the block
+// size before the next chunk is pulled.  CIPAR passes take the decoded
+// stream itself.
 // DEW's single-pass algorithm is inherently incremental — the tree carries
 // all state between chunks — so results are bit-identical to a one-shot
 // simulation while peak memory is O(chunk × block sizes) instead of
 // O(trace): the trace itself is never resident.
 //
-// With request.threads > 0 the passes of one chunk are distributed over
-// worker threads (passes are independent, each owns its tree), which keeps
-// the memory bound and the bit-identical-results guarantee intact; the only
-// difference from the serial path is that every distinct block size's stream
-// of the current chunk is live at once instead of one at a time.
+// With request.threads > 0 the work of one chunk is distributed over worker
+// threads as one unit per distinct block size (decode and stage 1), then one
+// unit per pass (passes are independent, each owns its records), which
+// keeps the memory bound and the bit-identical-results guarantee intact;
+// the only difference from the serial path is that every distinct block
+// size's stream of the current chunk is live at once instead of one at a
+// time.
 //
 // run_sweep (dew/sweep.hpp) and explore::explore are thin wrappers over this
 // class; use a session directly to interleave simulation with other work, to
@@ -28,6 +33,7 @@
 #include <memory>
 #include <vector>
 
+#include "dew/mra_stage.hpp"
 #include "dew/sweep.hpp"
 #include "trace/record.hpp"
 #include "trace/source.hpp"
@@ -43,12 +49,16 @@ class sweep_pass;
 struct session_options {
     // Records pulled from the source per step().  Bounds the session's
     // resident buffers at roughly
-    //   chunk_records * (sizeof(mem_access) + 8 * live streams)
-    // bytes (see buffer_bytes()).  DEW-engine simulator state is
-    // O(2^max_set_exp) and independent of both the chunk and the trace
-    // length; the cipar engine additionally keeps one presence map per pass
-    // that grows with the distinct blocks the trace touches (see
-    // sweep_engine in dew/sweep.hpp).  Must be > 0.
+    //   chunk_records * (sizeof(mem_access) + 13 * live streams)
+    // bytes (see buffer_bytes()): per live stream and record, an 8-byte
+    // block number and, for the DEW engine, stage 1's 1-byte depth and
+    // 4-byte survivor slot (a 4-byte miss mask instead when use_mra_stop is
+    // off).  DEW-engine simulator state — the records of every pass plus
+    // one shared MRA plane per block size — is O(2^max_set_exp) and
+    // independent of both the chunk and the trace length; the cipar engine
+    // additionally keeps one presence map per pass that grows with the
+    // distinct blocks the trace touches (see sweep_engine in
+    // dew/sweep.hpp).  Must be > 0.
     std::size_t chunk_records{std::size_t{64} * 1024};
 };
 
@@ -88,10 +98,11 @@ public:
         return error_ != nullptr;
     }
 
-    // Current resident bytes of the session's chunk and stream buffers —
-    // the quantity session_options::chunk_records bounds.  Independent of
-    // how many records have streamed through.  Zero-copy sources keep the
-    // chunk buffer empty, so in-memory sweeps only pay for the streams.
+    // Current resident bytes of the session's chunk, stream and stage-1
+    // buffers — the quantity session_options::chunk_records bounds.
+    // Independent of how many records have streamed through.  Zero-copy
+    // sources keep the chunk buffer empty, so in-memory sweeps only pay for
+    // the streams.
     [[nodiscard]] std::size_t buffer_bytes() const noexcept;
 
     [[nodiscard]] const sweep_request& request() const noexcept {
@@ -117,8 +128,16 @@ private:
     // cost is a wakeup, not a spawn+join cycle.  Defined in session.cpp.
     struct worker_pool;
 
+    // Decodes the chunk at stream s's block size and, for the DEW engine,
+    // runs stream s's stage 1 on it.
+    void prepare_stream(std::span<const trace::mem_access> chunk,
+                        std::size_t s);
+    // Feeds the prepared stream of passes_[pass]'s block size to it.
+    void feed_stream(std::size_t pass);
     void feed_serial(std::span<const trace::mem_access> chunk);
     void feed_threaded(std::span<const trace::mem_access> chunk);
+    // A worker's share of one chunk generation (see worker_pool).
+    void run_units(std::uint64_t generation);
 
     sweep_request request_;
     session_options options_;
@@ -133,6 +152,12 @@ private:
     // Serial: one stream buffer reused across block sizes.  Threaded: one
     // per distinct block size, all live for the current chunk.
     std::vector<std::vector<std::uint64_t>> streams_;
+    // DEW engine only: one shared MRA plane per distinct block size, and
+    // stage 1's per-record scratch, paired with streams_.
+    std::vector<mra_stage> stages_;
+    std::vector<mra_walk_buffer> walk_buffers_;
+    // Stage 1's output for the current chunk, per distinct block size.
+    std::vector<mra_walks> walks_;
     std::unique_ptr<worker_pool> pool_; // engaged iff the session is threaded
     std::uint64_t requests_{0};
     std::size_t steps_{0};

@@ -13,12 +13,24 @@
 // is the paper's "DEW automatically simulates [direct mapped] while
 // simulating any other associativity".
 //
+// The walk runs in two stages.  Stage 1 (dew/mra_stage.hpp) walks the MRA
+// plane and decides, per access, how deep the walk goes; stage 2
+// (basic_dew_pass below) resolves exactly those levels in the A-way record
+// arena: wave check, victim probe, search, insert.  basic_dew_simulator
+// runs both on its own chunks of the trace; dew::session runs stage 1 once
+// per block size and stage 2 once per (block size, associativity).
+//
 // Why each property is sound under FIFO:
 //  * MRA stop (P2): if the request equals node.mra, the *previous* request
 //    mapping to this set was the same block; every deeper set on the path
 //    sees a subsequence of this set's requests, so that block was also the
 //    last request there, is still resident (hits change no FIFO state), and
 //    the walk can stop with a hit certified for all deeper levels.
+//    The MRA tag is the last block mapped to the set, a function of the
+//    block stream alone, so the probe's outcome and the stop level are the
+//    same at every associativity.  A plane shared by all passes of one block
+//    size is therefore exact: each pass would have written the same tags
+//    into a private copy and stopped at the same level.
 //  * Wave pointer (P3): FIFO never relocates a resident block, so the way
 //    recorded when the tag last visited the child either still holds the
 //    tag (hit) or the tag was evicted (miss).  One comparison decides.
@@ -34,11 +46,16 @@
 // `fast` (every counter update compiles to nothing).  Both produce
 // bit-identical miss counts; `dew_simulator` keeps the counted behaviour
 // the benches and ablations rely on, `fast_dew_simulator` is the
-// production hot path that run_sweep and the examples default to.
+// production hot path that run_sweep and the examples default to.  A
+// counted pass is charged the MRA probes, hits and node evaluations stage 1
+// made for it, so its counters equal those of a walk that probed its own
+// plane.
 #ifndef DEW_DEW_SIMULATOR_HPP
 #define DEW_DEW_SIMULATOR_HPP
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -49,6 +66,7 @@
 #include "common/contracts.hpp"
 #include "common/hints.hpp"
 #include "dew/counters.hpp"
+#include "dew/mra_stage.hpp"
 #include "dew/options.hpp"
 #include "dew/result.hpp"
 #include "dew/tree.hpp"
@@ -56,46 +74,26 @@
 
 namespace dew::core {
 
+// Stage 2 of the walk for one (block size, associativity) pass: the A-way
+// record arena, its per-level misses and its counters.  It consumes stage
+// 1's output (mra_walks) for its block size; the direct-mapped misses come
+// from there too.
 template <class Instrumentation = full_counters>
-class basic_dew_simulator {
+class basic_dew_pass {
 public:
     // True when this instantiation maintains dew_counters on the hot path.
     static constexpr bool counted = Instrumentation::counted;
 
-    // Simulates set counts 2^0..2^max_level at associativities {1, assoc}
-    // and block size block_size (bytes, power of two).
-    basic_dew_simulator(unsigned max_level, std::uint32_t assoc,
-                        std::uint32_t block_size, dew_options options = {});
+    // Set counts 2^0..2^max_level at associativities {1, assoc} and block
+    // size block_size (bytes, power of two).
+    basic_dew_pass(unsigned max_level, std::uint32_t assoc,
+                   std::uint32_t block_size, dew_options options = {});
 
-    // Simulate a single byte address / reference / whole trace.
-    void access(std::uint64_t address) { access_block(address >> block_bits_); }
-    void access(const trace::mem_access& reference) { access(reference.address); }
-    void simulate(const trace::mem_trace& trace) {
-        simulate_chunk({trace.data(), trace.size()});
-    }
-
-    // The uniform incremental step of the streaming pipeline: simulating a
-    // trace in chunks of any size — through any interleaving of
-    // simulate_chunk, simulate_blocks and access calls — yields bit-identical
-    // state and results to one whole-trace simulate() call.  The tree carries
-    // all state between chunks; nothing is finalised until result() is read.
-    void simulate_chunk(std::span<const trace::mem_access> chunk);
-
-    // The hot entry points on pre-decoded block numbers (address >>
-    // log2(block size)).  run_sweep computes one such stream per block size
-    // and feeds it to every associativity pass, so per-pass work never
-    // touches 16-byte mem_access records again.
-    void access_block(std::uint64_t block) {
-        note_requests(1);
-        with_static_assoc(assoc_, [&](auto a) {
-            with_static_depth(mre_depth_, [&](auto d) {
-                with_static_options(options_, [&](auto o) {
-                    access_block_impl<a(), d(), o()>(block);
-                });
-            });
-        });
-    }
-    void simulate_blocks(std::span<const std::uint64_t> blocks);
+    // Walks every access of `walks` through exactly the levels stage 1 left
+    // it, and adds the chunk's direct-mapped misses and requests.  `walks`
+    // must come from an mra_stage with this pass's max_level and
+    // options().use_mra_stop, run over this pass's block-number stream.
+    void walk(const mra_walks& walks);
 
     // Exact per-configuration results (valid at any point of the pass).
     [[nodiscard]] dew_result result() const;
@@ -117,7 +115,7 @@ public:
     [[nodiscard]] const dew_options& options() const noexcept { return options_; }
     [[nodiscard]] const dew_tree& tree() const noexcept { return tree_; }
 
-    // Reset the tree and all counters to the cold state.
+    // Reset the records and all counters to the cold state.
     void reset();
 
 private:
@@ -130,13 +128,24 @@ private:
     // probe_victims() returns this when `block` is in no buffer slot.
     static constexpr std::uint32_t no_victim_match = ~std::uint32_t{0};
 
-    DEW_NOINLINE static void validate_construction(
+    // While walking access k, stage 2 prefetches the records of access
+    // k + prefetch_distance.  Stage 1 fixed that access's path, so no line
+    // off the path is fetched.  Distances 4 and 16 measured 1-2% slower on
+    // the paper grid (docs/PERF.md, layer 5).
+    static constexpr std::size_t prefetch_distance = 8;
+    // Levels 0..9 hold at most 1023 records, which stay cached across
+    // walks; prefetching them too cost 17-23% on the paper grid and on
+    // shallow shapes.
+    static constexpr unsigned first_prefetched_level = 10;
+
+    DEW_NOINLINE static unsigned validate_construction(
         unsigned max_level, std::uint32_t assoc, std::uint32_t block_size,
         const dew_options& options) {
         DEW_EXPECTS(max_level < 32);
         DEW_EXPECTS(is_pow2(assoc));
         DEW_EXPECTS(is_pow2(block_size));
         DEW_EXPECTS(!options.use_mre || options.mre_depth >= 1);
+        return max_level;
     }
 
     // Associativity is a loop bound in the search and a mask in the FIFO
@@ -183,32 +192,28 @@ private:
         return f(std::false_type{});
     }
 
-    // One full tree walk for one block number (Algorithms 1 and 2).
-    // Force-inlined into the simulate loops: as a standalone call the walk
-    // reloads members (options, tree base, stride, counters) per access;
-    // inlined, they are hoisted into registers across the whole trace —
-    // measured at ~25% of hot-loop time on the micro trace.  Plain
-    // `inline` is not enough: GCC declines on the runtime-depth
-    // specialisations.
+    // The record walk of one access (Algorithms 1 and 2) through levels
+    // 0..end-1; without the MRA stop, levels whose bit is clear in
+    // `miss_mask` were MRA hits.  Force-inlined into run_walks: as a
+    // standalone call the walk reloads members (options, tree base, stride,
+    // counters) per access; inlined, they are hoisted into registers across
+    // the whole chunk — measured at ~25% of hot-loop time on the micro
+    // trace.  Plain `inline` is not enough: GCC declines on the
+    // runtime-depth specialisations.
     template <std::uint32_t StaticAssoc, std::uint32_t StaticDepth,
               bool AllOpts>
-    DEW_ALWAYS_INLINE void access_block_impl(std::uint64_t block);
+    DEW_ALWAYS_INLINE void walk_block(const dew_tree::walker& nodes,
+                                      std::uint64_t block, unsigned end,
+                                      std::uint32_t miss_mask);
 
-    // The whole-stream loop of one static-assoc specialisation.  noinline
-    // keeps each specialisation a compact standalone function.
-    // dewlint: hot-loop begin dew-stream
+    // The whole-chunk loop of one static specialisation.  noinline keeps
+    // each specialisation a compact standalone function.
     template <std::uint32_t StaticAssoc, std::uint32_t StaticDepth,
               bool AllOpts>
-    DEW_NOINLINE void run_blocks(const std::uint64_t* first,
-                                 const std::uint64_t* last) {
-        note_requests(static_cast<std::uint64_t>(last - first));
-        for (; first != last; ++first) {
-            access_block_impl<StaticAssoc, StaticDepth, AllOpts>(*first);
-        }
-    }
+    DEW_NOINLINE void run_walks(const mra_walks& walks);
 
     // Request bookkeeping, hoisted out of the per-access walk: one bulk
-    // update per stream instead of a member read-modify-write per access.
+    // update per chunk instead of a member read-modify-write per access.
     void note_requests(std::uint64_t count) {
         requests_ += count;
         if constexpr (counted) {
@@ -221,7 +226,6 @@ private:
                 count * (max_level_ + 1) * (assoc_ == 1 ? 1 : 2);
         }
     }
-    // dewlint: hot-loop end dew-stream
 
     // Scans the node's victim buffer for `block` (Property 4, generalised
     // to mre_depth entries), counting comparisons under `full_counters`.
@@ -241,7 +245,6 @@ private:
     std::uint32_t assoc_;
     std::uint32_t way_mask_; // assoc - 1
     std::uint32_t block_size_;
-    unsigned block_bits_;
     // options_.effective_mre_depth(), cached so the per-access loops never
     // re-derive it.
     std::uint32_t mre_depth_;
@@ -256,6 +259,87 @@ private:
     std::vector<std::uint64_t> misses_dm_;
 };
 
+// One complete DEW simulation of one (block size, associativity): its own
+// MRA plane (stage 1) and record arena (stage 2), run chunk by chunk over
+// whatever it is fed.
+template <class Instrumentation = full_counters>
+class basic_dew_simulator {
+public:
+    // True when this instantiation maintains dew_counters on the hot path.
+    static constexpr bool counted = Instrumentation::counted;
+
+    // Simulates set counts 2^0..2^max_level at associativities {1, assoc}
+    // and block size block_size (bytes, power of two).
+    basic_dew_simulator(unsigned max_level, std::uint32_t assoc,
+                        std::uint32_t block_size, dew_options options = {});
+
+    // Simulate a single byte address / reference / whole trace.
+    void access(std::uint64_t address) { access_block(address >> block_bits_); }
+    void access(const trace::mem_access& reference) { access(reference.address); }
+    void simulate(const trace::mem_trace& trace) {
+        simulate_chunk({trace.data(), trace.size()});
+    }
+
+    // The uniform incremental step of the streaming pipeline: simulating a
+    // trace in chunks of any size — through any interleaving of
+    // simulate_chunk, simulate_blocks and access calls — yields bit-identical
+    // state and results to one whole-trace simulate() call.  The plane and
+    // the records carry all state between chunks; nothing is finalised until
+    // result() is read.
+    void simulate_chunk(std::span<const trace::mem_access> chunk);
+
+    // The entry points on pre-decoded block numbers (address >> log2(block
+    // size)).
+    void access_block(std::uint64_t block) { simulate_blocks({&block, 1}); }
+    void simulate_blocks(std::span<const std::uint64_t> blocks);
+
+    // Results, counters and geometry, as basic_dew_pass reports them.
+    [[nodiscard]] dew_result result() const { return pass_.result(); }
+    [[nodiscard]] const dew_counters& counters() const noexcept {
+        return pass_.counters();
+    }
+    [[nodiscard]] std::uint64_t requests() const noexcept {
+        return pass_.requests();
+    }
+    [[nodiscard]] unsigned max_level() const noexcept {
+        return pass_.max_level();
+    }
+    [[nodiscard]] std::uint32_t associativity() const noexcept {
+        return pass_.associativity();
+    }
+    [[nodiscard]] std::uint32_t block_size() const noexcept {
+        return pass_.block_size();
+    }
+    [[nodiscard]] const dew_options& options() const noexcept {
+        return pass_.options();
+    }
+    // The record arena (stage 2) and the MRA plane (stage 1).
+    [[nodiscard]] const dew_tree& tree() const noexcept { return pass_.tree(); }
+    [[nodiscard]] const mra_stage& stage() const noexcept { return stage_; }
+
+    // Reset the plane, the records and all counters to the cold state.
+    void reset() {
+        stage_.clear();
+        pass_.reset();
+    }
+
+private:
+    // Accesses per internal chunk: the block numbers and their depths
+    // (36 KiB) stay cache-resident from stage 1 to stage 2.
+    static constexpr std::size_t stage_chunk = 4096;
+
+    // Decodes `count` accesses (decode(i) is the i-th block number) into
+    // scratch_ one stage_chunk at a time and runs both stages on each.
+    template <class Decode>
+    void run_stages(std::size_t count, Decode decode);
+
+    basic_dew_pass<Instrumentation> pass_; // validates the geometry first
+    mra_stage stage_;
+    unsigned block_bits_;
+    std::vector<std::uint64_t> scratch_; // stage_chunk block numbers
+    mra_walk_buffer buffer_;
+};
+
 // The counted simulator: the seed-compatible default every test and bench
 // table uses.  `fast` is the zero-overhead production configuration.
 using dew_simulator = basic_dew_simulator<full_counters>;
@@ -264,34 +348,97 @@ using fast_dew_simulator = basic_dew_simulator<fast>;
 // --- implementation ---------------------------------------------------------
 
 template <class Instrumentation>
-basic_dew_simulator<Instrumentation>::basic_dew_simulator(
-    unsigned max_level, std::uint32_t assoc, std::uint32_t block_size,
-    dew_options options)
-    : max_level_{max_level},
+basic_dew_pass<Instrumentation>::basic_dew_pass(unsigned max_level,
+                                                std::uint32_t assoc,
+                                                std::uint32_t block_size,
+                                                dew_options options)
+    : max_level_{validate_construction(max_level, assoc, block_size,
+                                       options)},
       assoc_{assoc},
       way_mask_{assoc - 1},
       block_size_{block_size},
-      block_bits_{log2_exact(block_size)},
       mre_depth_{options.effective_mre_depth()},
       options_{options},
       tree_{max_level, assoc, options.effective_mre_depth()},
       misses_assoc_(max_level + 1, 0),
-      misses_dm_(max_level + 1, 0) {
-    validate_construction(max_level, assoc, block_size, options);
+      misses_dm_(max_level + 1, 0) {}
+
+template <class Instrumentation>
+basic_dew_simulator<Instrumentation>::basic_dew_simulator(
+    unsigned max_level, std::uint32_t assoc, std::uint32_t block_size,
+    dew_options options)
+    : pass_{max_level, assoc, block_size, options},
+      stage_{max_level, options.use_mra_stop},
+      block_bits_{log2_exact(block_size)},
+      scratch_(stage_chunk) {}
+
+template <class Instrumentation>
+void basic_dew_pass<Instrumentation>::walk(const mra_walks& walks) {
+    DEW_EXPECTS(walks.dm_misses.size() == misses_dm_.size());
+    note_requests(walks.requests);
+    for (std::size_t level = 0; level < misses_dm_.size(); ++level) {
+        misses_dm_[level] += walks.dm_misses[level];
+    }
+    if constexpr (counted) {
+        // Stage 1 probed the MRA tag of every node this pass would have
+        // evaluated on its own: one tag comparison each.
+        instrumentation_.counters.node_evaluations += walks.node_visits;
+        instrumentation_.counters.tag_comparisons += walks.node_visits;
+        instrumentation_.counters.mra_hits += walks.mra_hits;
+    }
+    with_static_assoc(assoc_, [&](auto a) {
+        with_static_depth(mre_depth_, [&](auto d) {
+            with_static_options(options_, [&](auto o) {
+                this->template run_walks<a(), d(), o()>(walks);
+            });
+        });
+    });
 }
 
-// The per-access walk and the chunk/block stream loops: every instruction
-// here runs once per trace reference.  dewlint's hot-loop rule bans
-// allocation, container growth, formatted I/O and wall-clock reads inside
-// the region — the walk must stay pure loads, stores and compares.
+// The record walk and the chunk loops: every instruction here runs once per
+// trace reference.  dewlint's hot-loop rule bans allocation, container
+// growth, formatted I/O and wall-clock reads inside the region — the walk
+// must stay pure loads, stores and compares.
 // dewlint: hot-loop begin dew-walk
+template <class Instrumentation>
+template <std::uint32_t StaticAssoc, std::uint32_t StaticDepth, bool AllOpts>
+void basic_dew_pass<Instrumentation>::run_walks(const mra_walks& walks) {
+    const bool use_mra_stop = AllOpts || options_.use_mra_stop;
+    const std::uint64_t* const blocks = walks.blocks.data();
+    const std::size_t count = walks.blocks.size();
+    const dew_tree::walker nodes = tree_.make_walker();
+    // Levels 0..end-1 of access k are walked; without the MRA stop the
+    // walk may end after its deepest MRA miss (the rest are certified hits
+    // that would only break the wave chain).
+    const auto path_end = [&](std::size_t k) -> unsigned {
+        return use_mra_stop ? walks.depth[k]
+                            : static_cast<unsigned>(
+                                  std::bit_width(walks.miss_mask[k]));
+    };
+    for (std::size_t k = 0; k < count; ++k) {
+        if (k + prefetch_distance < count) {
+            const std::size_t ahead = k + prefetch_distance;
+            const std::uint64_t block = blocks[ahead];
+            const unsigned end = path_end(ahead);
+            for (unsigned level = first_prefetched_level; level < end;
+                 ++level) {
+                const std::uint64_t bit = std::uint64_t{1} << level;
+                nodes.prefetch(bit - 1 + (block & (bit - 1)));
+            }
+        }
+        walk_block<StaticAssoc, StaticDepth, AllOpts>(
+            nodes, blocks[k], path_end(k),
+            use_mra_stop ? ~std::uint32_t{0} : walks.miss_mask[k]);
+    }
+}
+
 // Scans the node's victim buffer for `block`, counting one tag comparison
 // per valid entry examined.  Returns the matching slot or `no_victim_match`.
 template <class Instrumentation>
 template <std::uint32_t StaticDepth>
 std::uint32_t
-basic_dew_simulator<Instrumentation>::probe_victims(node_ref node,
-                                                    std::uint64_t block) {
+basic_dew_pass<Instrumentation>::probe_victims(node_ref node,
+                                               std::uint64_t block) {
     const std::uint32_t depth =
         StaticDepth == runtime_depth ? mre_depth_ : StaticDepth;
     if constexpr (counted) {
@@ -307,7 +454,7 @@ basic_dew_simulator<Instrumentation>::probe_victims(node_ref node,
         return no_victim_match;
     } else {
         // Branchless scan.  A never-filled slot holds invalid_tag, which no
-        // real block number equals (access_block rejects it), so comparing
+        // real block number equals (stage 1 rejects it), so comparing
         // unconditionally is safe; a buffered tag appears at most once (the
         // swap removes it on re-fetch), so any match is the match.  The
         // conditional select compiles to cmov — no data-dependent branch,
@@ -322,7 +469,7 @@ basic_dew_simulator<Instrumentation>::probe_victims(node_ref node,
 
 template <class Instrumentation>
 template <std::uint32_t StaticAssoc, std::uint32_t StaticDepth, bool AllOpts>
-std::uint32_t basic_dew_simulator<Instrumentation>::insert_on_miss(
+std::uint32_t basic_dew_pass<Instrumentation>::insert_on_miss(
     node_ref node, std::uint64_t block, mre_knowledge known,
     std::uint32_t matched_slot) {
     const std::uint32_t way_mask =
@@ -377,63 +524,38 @@ std::uint32_t basic_dew_simulator<Instrumentation>::insert_on_miss(
 
 template <class Instrumentation>
 template <std::uint32_t StaticAssoc, std::uint32_t StaticDepth, bool AllOpts>
-void basic_dew_simulator<Instrumentation>::access_block_impl(
-    std::uint64_t block) {
+void basic_dew_pass<Instrumentation>::walk_block(
+    const dew_tree::walker& nodes, std::uint64_t block, unsigned end,
+    std::uint32_t miss_mask) {
     const std::uint32_t assoc = StaticAssoc == 0 ? assoc_ : StaticAssoc;
     // AllOpts folds the property switches to constants (full DEW); the
     // generic instantiation reads them per access for the ablations.
     const bool use_mra_stop = AllOpts || options_.use_mra_stop;
     const bool use_wave = AllOpts || options_.use_wave;
     const bool use_mre = AllOpts || options_.use_mre;
-    // The all-ones block number is the empty-way sentinel; a real request
-    // can only produce it from the top bytes of the address space at tiny
-    // block sizes, and accepting it would corrupt the tree silently.
-    DEW_EXPECTS(block != cache::invalid_tag);
-    const unsigned levels = max_level_ + 1;
 
     // The wave pointer chain: entry holding `block` in the previous
-    // (parent) level's node, or null at the root / after a P2 continue.
+    // (parent) level's node, or null at the root / after an MRA hit.
     way_entry* parent_entry = nullptr;
 
     // Flat tree slot, tracked incrementally: level l's node for this block
     // lives at (2^l - 1) + (block & (2^l - 1)), so each level adds
     // bit + (block & bit) — two adds instead of two shifts and two masks.
-    const dew_tree::walker nodes = tree_.make_walker();
     std::uint64_t slot = 0;
     std::uint64_t bit = 1;
 
-    for (unsigned level = 0; level < levels;
+    for (unsigned level = 0; level < end;
          ++level, slot += bit + (block & bit), bit <<= 1) {
-        const node_ref node = nodes.at(slot);
-        if constexpr (counted) {
-            ++instrumentation_.counters.node_evaluations;
-        }
-
-        // Property 2 probe.  This same comparison yields the exact
-        // direct-mapped (associativity 1) outcome for set count 2^level,
-        // because the MRA tag equals the last block that mapped here.
-        if constexpr (counted) {
-            ++instrumentation_.counters.tag_comparisons;
-        }
-        if (node.mra == block) {
-            if constexpr (counted) {
-                ++instrumentation_.counters.mra_hits;
-            }
-            if (use_mra_stop) {
-                // Hit certified at this level and every deeper level, for
-                // both associativity A and 1.  Hits are implicit
-                // (requests - misses), so there is nothing to count.
-                return;
-            }
-            // Ablation mode: the certificate still applies at this node (the
-            // request is a hit, FIFO state is untouched), but the way
-            // position is unknown, so the wave chain breaks for the child.
+        if (!use_mra_stop && ((miss_mask >> level) & 1U) == 0) {
+            // Ablation mode: stage 1 certified a hit at this node (the FIFO
+            // state is untouched), but the way position is unknown, so the
+            // wave chain breaks for the child.
             parent_entry = nullptr;
             continue;
         }
-        // Direct-mapped miss at this set count; also Algorithm 1/2 line 1-2.
-        ++misses_dm_[level];
-        node.mra = block;
+        // A direct-mapped miss at this set count (stage 1 counted it);
+        // Algorithm 1/2 lines 1-2.
+        const node_ref node = nodes.at(slot);
 
         bool hit = false;
         std::uint32_t way = 0;
@@ -534,38 +656,43 @@ void basic_dew_simulator<Instrumentation>::access_block_impl(
 }
 
 template <class Instrumentation>
+template <class Decode>
+void basic_dew_simulator<Instrumentation>::run_stages(std::size_t count,
+                                                      Decode decode) {
+    std::uint64_t* const blocks = scratch_.data();
+    for (std::size_t offset = 0; offset < count; offset += stage_chunk) {
+        const std::size_t n = std::min(stage_chunk, count - offset);
+        for (std::size_t i = 0; i < n; ++i) {
+            blocks[i] = decode(offset + i);
+        }
+        // Both stages run up to the first sentinel block number, so the
+        // plane and the records agree when the check below throws.
+        const auto valid = static_cast<std::size_t>(
+            std::find(blocks, blocks + n, cache::invalid_tag) - blocks);
+        pass_.walk(stage_.run({blocks, valid}, buffer_));
+        const bool has_sentinel_block = valid != n;
+        DEW_EXPECTS(!has_sentinel_block);
+    }
+}
+
+template <class Instrumentation>
 void basic_dew_simulator<Instrumentation>::simulate_chunk(
     std::span<const trace::mem_access> chunk) {
-    // Resolve the static-associativity dispatch once for the whole chunk.
-    note_requests(chunk.size());
-    with_static_assoc(assoc_, [&](auto a) {
-        with_static_depth(mre_depth_, [&](auto d) {
-            with_static_options(options_, [&](auto o) {
-                for (const trace::mem_access& reference : chunk) {
-                    this->template access_block_impl<a(), d(), o()>(
-                        reference.address >> block_bits_);
-                }
-            });
-        });
+    const unsigned bits = block_bits_;
+    run_stages(chunk.size(), [chunk, bits](std::size_t i) {
+        return chunk[i].address >> bits;
     });
 }
 
 template <class Instrumentation>
 void basic_dew_simulator<Instrumentation>::simulate_blocks(
     std::span<const std::uint64_t> blocks) {
-    with_static_assoc(assoc_, [&](auto a) {
-        with_static_depth(mre_depth_, [&](auto d) {
-            with_static_options(options_, [&](auto o) {
-                this->template run_blocks<a(), d(), o()>(
-                    blocks.data(), blocks.data() + blocks.size());
-            });
-        });
-    });
+    run_stages(blocks.size(), [blocks](std::size_t i) { return blocks[i]; });
 }
 // dewlint: hot-loop end dew-walk
 
 template <class Instrumentation>
-dew_result basic_dew_simulator<Instrumentation>::result() const {
+dew_result basic_dew_pass<Instrumentation>::result() const {
     dew_counters snapshot{};
     if constexpr (counted) {
         snapshot = instrumentation_.counters;
@@ -579,7 +706,7 @@ dew_result basic_dew_simulator<Instrumentation>::result() const {
 }
 
 template <class Instrumentation>
-void basic_dew_simulator<Instrumentation>::reset() {
+void basic_dew_pass<Instrumentation>::reset() {
     tree_.clear();
     instrumentation_ = {};
     requests_ = 0;
@@ -589,6 +716,8 @@ void basic_dew_simulator<Instrumentation>::reset() {
 
 // The only two policies; instantiated once in simulator.cpp so the fifty-odd
 // consumer translation units do not each re-instantiate the simulator.
+extern template class basic_dew_pass<full_counters>;
+extern template class basic_dew_pass<fast>;
 extern template class basic_dew_simulator<full_counters>;
 extern template class basic_dew_simulator<fast>;
 

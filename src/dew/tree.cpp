@@ -1,6 +1,5 @@
 #include "dew/tree.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <new>
 
@@ -36,7 +35,6 @@ dew_tree::dew_tree(unsigned max_level, std::uint32_t associativity,
                      sizeof(way_entry) * std::size_t{associativity}} {
     DEW_EXPECTS(is_pow2(associativity));
     arena_bytes_ = node_count_ * stride_;
-    mra_.resize(node_count_);
     storage_ = allocate_arena(arena_bytes_);
     clear();
 }
@@ -49,7 +47,6 @@ dew_tree::dew_tree(const dew_tree& other)
       stride_{other.stride_},
       victim_offset_{other.victim_offset_},
       arena_bytes_{other.arena_bytes_},
-      mra_{other.mra_},
       storage_{allocate_arena(other.arena_bytes_)} {
     // Records are trivially copyable implicit-lifetime types, so memcpy
     // both clones the bytes and (formally) creates the objects in the new
@@ -65,7 +62,6 @@ dew_tree& dew_tree::operator=(const dew_tree& other) {
 }
 
 void dew_tree::clear() {
-    std::fill(mra_.begin(), mra_.end(), cache::invalid_tag);
     // (Re)construct every record in place.  node_header and way_entry are
     // trivially destructible, so placement-new over live entries is a plain
     // reset; on the first call it also starts the objects' lifetimes inside

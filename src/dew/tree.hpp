@@ -13,25 +13,17 @@
 // unknown.  FIFO never moves a resident block between ways, which is what
 // makes a stored way index trustworthy until eviction.
 //
-// Storage layout — two planes, engineered around the walk's access pattern:
-//
-//  * The MRA plane: one dense std::uint64_t per node.  The Property-2 probe
-//    reads (and on a DM miss writes) the MRA tag of every node the walk
-//    visits — it is by far the hottest field, and most visits touch nothing
-//    else.  Packing the tags densely fits eight per cache line, so the
-//    shallow levels stay resident and the deep, sparsely-hit levels cost
-//    the fewest possible line fills.
-//
-//  * The record arena: one packed per-node record of everything else —
-//    the FIFO/victim cursors, the A way entries, then the victim buffer —
-//    at a fixed runtime stride.  A record is only touched when the walk has
-//    to resolve an A-way set (a DM miss at that node), and then the cursor,
-//    tag list and victim buffer are needed together: one stride computation
-//    into one allocation, one or two adjacent lines.  The stride rounds the
-//    record up to 32 bytes inside a 64-byte-aligned arena; rounding all the
-//    way to 64 was measured slower (a 4-way record is 88 bytes — padding to
-//    128 costs a third more footprint and misses than it saves in
-//    alignment).
+// Storage layout: one packed per-node record of the FIFO/victim cursors,
+// the A way entries, then the victim buffer, at a fixed runtime stride.  The
+// MRA tag is not here: it is the same for every associativity, so it lives
+// in the dense plane of the shared stage 1 (dew/mra_stage.hpp), which runs
+// once per block size.  A record is only touched when the walk has to
+// resolve an A-way set (a DM miss at that node), and then the cursor, tag
+// list and victim buffer are needed together: one stride computation into
+// one allocation, one or two adjacent lines.  The stride rounds the record
+// up to 32 bytes inside a 64-byte-aligned arena; rounding all the way to 64
+// was measured slower (a 4-way record is 88 bytes — padding to 128 costs a
+// third more footprint and misses than it saves in alignment).
 //
 // The seed layout segmented one logical node across three parallel vectors
 // (headers, ways, victims), so resolving one set gathered three distant
@@ -52,9 +44,9 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <vector>
 
 #include "cache/set_model.hpp" // invalid_tag
+#include "common/hints.hpp"
 
 namespace dew::core {
 
@@ -76,11 +68,9 @@ struct node_header {
 static_assert(sizeof(node_header) == 8);
 static_assert(sizeof(way_entry) == 16);
 
-// Mutable view of one node: its MRA tag (dense plane), its cursor header,
-// its A-entry tag list, and its victim buffer (nullptr when
-// victim_depth == 0).
+// Mutable view of one node's record: its cursor header, its A-entry tag
+// list, and its victim buffer (nullptr when victim_depth == 0).
 struct node_ref {
-    std::uint64_t& mra; // most recently accessed tag
     node_header& header;
     way_entry* ways;    // [associativity]
     way_entry* victims; // [victim_depth], most recently evicted tags
@@ -107,13 +97,12 @@ public:
     // references, and under type-based aliasing such a store may alias any
     // same-typed member (stride_, arena_bytes_ are 64-bit unsigned too) —
     // so going through the dew_tree members would reload them after every
-    // node mutation.  A walker snapshots the plane pointers and stride
+    // node mutation.  A walker snapshots the arena base and stride
     // into locals once, making the per-level lookup pure arithmetic.
     class walker {
     public:
         explicit walker(dew_tree& tree) noexcept
-            : mra_{tree.mra_.data()},
-              base_{tree.storage_.get()},
+            : base_{tree.storage_.get()},
               stride_{tree.stride_},
               victim_offset_{tree.victim_offset_},
               has_victims_{tree.victim_depth_ != 0} {}
@@ -121,8 +110,7 @@ public:
         // Node at a flat slot (level_offset(level) + index).
         [[nodiscard]] node_ref at(std::uint64_t slot) const noexcept {
             std::byte* const base = base_ + slot * stride_;
-            return {mra_[slot],
-                    *std::launder(reinterpret_cast<node_header*>(base)),
+            return {*std::launder(reinterpret_cast<node_header*>(base)),
                     std::launder(reinterpret_cast<way_entry*>(
                         base + sizeof(node_header))),
                     has_victims_
@@ -131,8 +119,20 @@ public:
                         : nullptr};
         }
 
+        // Asks for every 64-byte line of the record at `slot` ahead of its
+        // use.  A record starts 32-byte aligned, so it may begin mid-line;
+        // the arena is 64-byte aligned, so that line starts inside it.
+        void prefetch(std::uint64_t slot) const noexcept {
+            const std::byte* const record = base_ + slot * stride_;
+            const std::size_t lead =
+                reinterpret_cast<std::uintptr_t>(record) & 63;
+            for (std::size_t offset = 0; offset < lead + stride_;
+                 offset += 64) {
+                prefetch_for_write(record - lead + offset);
+            }
+        }
+
     private:
-        std::uint64_t* mra_;
         std::byte* base_;
         std::size_t stride_;
         std::size_t victim_offset_;
@@ -159,9 +159,9 @@ public:
     [[nodiscard]] std::size_t node_stride_bytes() const noexcept {
         return stride_;
     }
-    // Total footprint in bytes: the dense MRA plane plus the record arena.
+    // Total footprint in bytes of the record arena.
     [[nodiscard]] std::size_t storage_bytes() const noexcept {
-        return mra_.size() * sizeof(std::uint64_t) + arena_bytes_;
+        return arena_bytes_;
     }
 
     // Reset all nodes to the cold state.
@@ -170,7 +170,8 @@ public:
     // The paper's storage accounting (Section 5): bits per tree node and per
     // whole level, assuming 32-bit tags and 32-bit wave pointers.  The
     // paper's 96 + 64*A decomposes as 32 (MRA) + 64 (one MRE entry) +
-    // 64*A (tag list); the general form substitutes the victim depth.
+    // 64*A (tag list); the general form substitutes the victim depth.  The
+    // MRA tag is counted here although it lives in the shared stage-1 plane.
     [[nodiscard]] static constexpr std::uint64_t
     paper_bits_per_node(std::uint32_t associativity) noexcept {
         return 96 + std::uint64_t{64} * associativity;
@@ -211,7 +212,6 @@ private:
     std::size_t stride_;        // bytes per node record, multiple of 32
     std::size_t victim_offset_; // byte offset of the victim buffer in a record
     std::size_t arena_bytes_;   // node_count_ * stride_
-    std::vector<std::uint64_t> mra_; // dense MRA plane, invalid_tag when cold
     // Packed records: one contiguous 64-byte-aligned byte allocation (a
     // single provided-storage region, so a record never straddles distinct
     // storage objects).

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "common/contracts.hpp"
 #include "dew/session.hpp"
+#include "dew/simulator.hpp"
 #include "dew/sweep.hpp"
 #include "trace/fault.hpp"
+#include "trace/generator.hpp"
 #include "trace/mediabench.hpp"
 #include "trace/source.hpp"
 
@@ -341,6 +344,127 @@ TEST(Session, RejectsInvalidRequestsUpFront) {
     session_options zero_chunk;
     zero_chunk.chunk_records = 0;
     EXPECT_THROW((session{src, good, zero_chunk}), std::invalid_argument);
+}
+
+// --- The shared stage 1 --------------------------------------------------
+// A session runs the MRA plane once per block size and every associativity
+// pass's record walk on its output; each pass must still equal a standalone
+// simulator that walked its own plane, counters included.
+
+// The extreme block numbers of extreme_address_test: a random low trace
+// interleaved with its copy near the top of the address space, then a run
+// down from the last legal block number at block size 1.
+trace::mem_trace extreme_workload() {
+    const trace::mem_trace low =
+        trace::make_random_trace(0, 1 << 12, 1500, 0xE57, 4);
+    const std::uint64_t offset = 0xFFFF'FF00'0000'0000ull;
+    trace::mem_trace mixed;
+    for (const trace::mem_access& access : low) {
+        mixed.push_back(access);
+        mixed.push_back({access.address + offset, access.type});
+    }
+    for (std::uint64_t i = 0; i < 300; ++i) {
+        mixed.push_back(
+            {~std::uint64_t{0} - 1 - (i % 40) * 64, trace::access_type::read});
+    }
+    return mixed;
+}
+
+void expect_same_pass(const dew_result& got, const dew_result& want) {
+    ASSERT_EQ(got.block_size(), want.block_size());
+    ASSERT_EQ(got.associativity(), want.associativity());
+    EXPECT_EQ(got.requests(), want.requests());
+    for (unsigned level = 0; level <= want.max_level(); ++level) {
+        EXPECT_EQ(got.misses(level, want.associativity()),
+                  want.misses(level, want.associativity()))
+            << "level " << level;
+        EXPECT_EQ(got.misses(level, 1), want.misses(level, 1))
+            << "level " << level;
+    }
+    const dew_counters& a = got.counters();
+    const dew_counters& b = want.counters();
+    EXPECT_EQ(a.requests, b.requests);
+    EXPECT_EQ(a.node_evaluations, b.node_evaluations);
+    EXPECT_EQ(a.unoptimized_evaluations, b.unoptimized_evaluations);
+    EXPECT_EQ(a.mra_hits, b.mra_hits);
+    EXPECT_EQ(a.wave_checks, b.wave_checks);
+    EXPECT_EQ(a.mre_determinations, b.mre_determinations);
+    EXPECT_EQ(a.searches, b.searches);
+    EXPECT_EQ(a.wave_hit_determinations, b.wave_hit_determinations);
+    EXPECT_EQ(a.wave_miss_determinations, b.wave_miss_determinations);
+    EXPECT_EQ(a.mre_swaps, b.mre_swaps);
+    EXPECT_EQ(a.tag_comparisons, b.tag_comparisons);
+}
+
+template <class Instrumentation>
+std::vector<dew_result> standalone_passes(const trace::mem_trace& trace,
+                                          const sweep_request& request) {
+    std::vector<dew_result> passes;
+    for (const std::uint32_t block : request.block_sizes) {
+        for (const std::uint32_t assoc : request.associativities) {
+            basic_dew_simulator<Instrumentation> sim{
+                request.max_set_exp, assoc, block, request.options};
+            sim.simulate(trace);
+            passes.push_back(sim.result());
+        }
+    }
+    return passes;
+}
+
+TEST(Session, SharedStageMatchesStandalonePasses) {
+    const trace::mem_trace trace = extreme_workload();
+    sweep_request request;
+    request.max_set_exp = 6;
+    request.block_sizes = {1, 16, 64};
+    // 1 and 32 take the generic (non-static) walk instantiations.
+    request.associativities = {1, 2, 32};
+
+    struct variant {
+        const char* name;
+        dew_options options;
+    };
+    const variant variants[] = {
+        {"dew", dew_options{}},
+        {"mre_depth 3", dew_options{true, true, true, 3}},
+        {"no mra stop", dew_options{false, true, true, 1}},
+        {"no wave", dew_options{true, false, true, 1}},
+        {"no mre", dew_options{true, true, false, 1}},
+    };
+    for (const variant& v : variants) {
+        request.options = v.options;
+        const std::vector<dew_result> counted =
+            standalone_passes<full_counters>(trace, request);
+        const std::vector<dew_result> fast_passes =
+            standalone_passes<fast>(trace, request);
+        for (const sweep_instrumentation instrumentation :
+             {sweep_instrumentation::full_counters,
+              sweep_instrumentation::fast}) {
+            request.instrumentation = instrumentation;
+            const std::vector<dew_result>& want =
+                instrumentation == sweep_instrumentation::fast ? fast_passes
+                                                               : counted;
+            for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                            std::size_t{4096}}) {
+                for (const unsigned threads : {0u, 3u}) {
+                    SCOPED_TRACE(std::string{v.name} + ", chunk " +
+                                 std::to_string(chunk) + ", threads " +
+                                 std::to_string(threads) + ", counted " +
+                                 std::to_string(instrumentation ==
+                                                sweep_instrumentation::
+                                                    full_counters));
+                    request.threads = threads;
+                    trace::span_source src{{trace.data(), trace.size()}};
+                    session_options options;
+                    options.chunk_records = chunk;
+                    const sweep_result got = run_sweep(src, request, options);
+                    ASSERT_EQ(got.passes.size(), want.size());
+                    for (std::size_t i = 0; i < want.size(); ++i) {
+                        expect_same_pass(got.passes[i], want[i]);
+                    }
+                }
+            }
+        }
+    }
 }
 
 } // namespace

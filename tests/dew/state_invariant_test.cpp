@@ -76,8 +76,9 @@ private:
                 const node_ref node =
                     tree.node(level, set);
 
-                // I2: MRA truthfulness.
-                ASSERT_EQ(node.mra, last_request_[slot(level, set)])
+                // I2: MRA truthfulness, read from the shared plane.
+                ASSERT_EQ(sim_.stage().mra(level, set),
+                          last_request_[slot(level, set)])
                     << "level " << level << " set " << set;
 
                 for (std::uint32_t way = 0; way < assoc; ++way) {

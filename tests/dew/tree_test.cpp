@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/contracts.hpp"
+#include "dew/mra_stage.hpp"
 
 namespace {
 
@@ -16,10 +17,11 @@ TEST(DewTree, NodeCountIsCompleteBinaryHierarchy) {
 
 TEST(DewTree, FreshNodesAreCold) {
     dew_tree tree{3, 4};
+    const mra_stage stage{3, true}; // the MRA tags live in the shared plane
     for (unsigned level = 0; level <= 3; ++level) {
         for (std::uint64_t index = 0; index < (1u << level); ++index) {
             const node_ref node = tree.node(level, index);
-            EXPECT_EQ(node.mra, dew::cache::invalid_tag);
+            EXPECT_EQ(stage.mra(level, index), dew::cache::invalid_tag);
             EXPECT_EQ(node.header.cursor, 0u);
             EXPECT_EQ(node.header.victim_cursor, 0u);
             EXPECT_EQ(node.victims[0].tag, dew::cache::invalid_tag);
@@ -33,21 +35,24 @@ TEST(DewTree, FreshNodesAreCold) {
 
 TEST(DewTree, NodesAreDistinctStorage) {
     dew_tree tree{2, 2};
-    tree.node(1, 0).mra = 111;
-    tree.node(1, 1).mra = 222;
+    mra_stage stage{2, true};
+    stage.mra(1, 0) = 111;
+    stage.mra(1, 1) = 222;
     tree.node(2, 0).ways[0].tag = 333;
-    EXPECT_EQ(tree.node(1, 0).mra, 111u);
-    EXPECT_EQ(tree.node(1, 1).mra, 222u);
+    EXPECT_EQ(stage.mra(1, 0), 111u);
+    EXPECT_EQ(stage.mra(1, 1), 222u);
     EXPECT_EQ(tree.node(2, 0).ways[0].tag, 333u);
     EXPECT_EQ(tree.node(2, 1).ways[0].tag, dew::cache::invalid_tag);
 }
 
 TEST(DewTree, ClearRestoresColdState) {
     dew_tree tree{2, 2};
-    tree.node(0, 0).mra = 5;
+    mra_stage stage{2, true};
+    stage.mra(0, 0) = 5;
     tree.node(2, 3).ways[1] = {42, 1};
     tree.clear();
-    EXPECT_EQ(tree.node(0, 0).mra, dew::cache::invalid_tag);
+    stage.clear();
+    EXPECT_EQ(stage.mra(0, 0), dew::cache::invalid_tag);
     EXPECT_EQ(tree.node(2, 3).ways[1].tag, dew::cache::invalid_tag);
     EXPECT_EQ(tree.node(2, 3).ways[1].wave, empty_wave);
 }
@@ -83,8 +88,9 @@ TEST(DewTree, RecordStrideIsPackedAndRounded) {
 
 TEST(DewTree, StorageCoversMraPlanePlusRecords) {
     dew_tree tree{3, 4, 1};
+    const mra_stage stage{3, true};
     const std::uint64_t nodes = tree.node_count();
-    EXPECT_GE(tree.storage_bytes(),
+    EXPECT_GE(tree.storage_bytes() + stage.storage_bytes(),
               nodes * (8 + tree.node_stride_bytes()));
 }
 

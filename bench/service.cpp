@@ -3,7 +3,7 @@
 // front end produces (many tools asking overlapping questions about a
 // shared trace corpus).
 //
-// Five workload phases over one corpus trace:
+// Six workload phases over one corpus trace:
 //   cold     every distinct request once — pure simulation, the floor;
 //   storm    every distinct request duplicated D-fold, submitted with the
 //            workers gated so all duplicates are provably in flight —
@@ -19,19 +19,10 @@
 //            a loopback net::server wrapping a fresh service, a
 //            net::client submitting by content digest — the delta against
 //            `storm`/`replay` is the protocol + round-trip cost.
-//   obs      the storm + replay mix measured twice — span/histogram
-//            recording enabled vs runtime-disabled — over computations,
-//            coalescing and cache hits together, the workload the layer
-//            must not perturb.
-//            The delta is the observability overhead (docs/OBSERVABILITY.md
-//            explains why runtime-off stands in for compiled-off here:
-//            one binary cannot hold both, and the disabled path is a
-//            single relaxed load).
 // Each phase reports requests/sec plus the service's own counters, and an
 // exactness gate first proves a served answer bit-identical to a direct
 // run_sweep.  The serve_* and net_* fields of BENCH_micro.json are the
 // same quantities measured by bench_micro's harness (docs/PERF.md).
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <future>
@@ -45,7 +36,6 @@
 #include "dew/sweep.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
-#include "obs/recorder.hpp"
 #include "serve/service.hpp"
 #include "trace/digest.hpp"
 #include "trace/mediabench.hpp"
@@ -302,53 +292,6 @@ int main() {
         run_net_phase(net_client, net_server, digest, requests, duplicates,
                       /*gate=*/false);
 
-    // Observability overhead: the storm + replay serving mix (the same
-    // workload the storm/replay rows price — computations, coalescing and
-    // cache hits together) with recording enabled vs runtime-disabled.
-    // A pure cache-hit denominator would price spans against a ~1 µs
-    // lookup and nothing else; the budget is about serving real work.
-    // The on and off rounds interleave with alternating order (on/off,
-    // off/on, ...) so slow machine drift and warm-up order bias hit both
-    // sides equally instead of reading as overhead, and the sides compare
-    // by total time over all rounds — the storm's scheduler noise is far
-    // larger than a sub-2% effect, and means converge where best-of picks
-    // lucky outliers.
-    const auto mix_seconds = [&](bool obs_on) {
-        obs::recorder::instance().set_enabled(obs_on);
-        const auto service = fresh_service();
-        const auto t0 = std::chrono::steady_clock::now();
-        (void)run_phase(*service, requests, duplicates, /*gate=*/true);
-        (void)run_phase(*service, requests, duplicates, /*gate=*/false);
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-            .count();
-    };
-    double obs_on_seconds = 0.0;
-    double obs_off_seconds = 0.0;
-    constexpr int obs_rounds = 6;
-    for (int round = 0; round < obs_rounds; ++round) {
-        if (round % 2 == 0) {
-            obs_on_seconds += mix_seconds(true);
-            obs_off_seconds += mix_seconds(false);
-        } else {
-            obs_off_seconds += mix_seconds(false);
-            obs_on_seconds += mix_seconds(true);
-        }
-    }
-    const double mix_submitted =
-        2.0 * static_cast<double>(requests.size() * duplicates) * obs_rounds;
-    const double obs_on_rate =
-        obs_on_seconds > 0.0 ? mix_submitted / obs_on_seconds : 0.0;
-    const double obs_off_rate =
-        obs_off_seconds > 0.0 ? mix_submitted / obs_off_seconds : 0.0;
-    obs::recorder::instance().set_enabled(true);
-    obs::recorder::instance().clear();
-    const double obs_overhead_pct =
-        obs_off_rate <= 0.0
-            ? 0.0
-            : std::max(0.0, (obs_off_rate - obs_on_rate) / obs_off_rate *
-                                100.0);
-
     bench::text_table table{{"phase", "requests", "req/s", "hit rate",
                              "coalesce", "computations", "degraded"}};
     table.add_row({"cold", std::to_string(requests.size()),
@@ -414,8 +357,5 @@ int main() {
                 "is the protocol + round trip\n",
                 net_storm.requests_per_sec, storm.requests_per_sec,
                 net_replay.requests_per_sec, replay.requests_per_sec);
-    std::printf("obs overhead on the storm+replay mix: recording on "
-                "%.1f req/s vs off %.1f req/s -> obs_overhead_pct %.2f\n",
-                obs_on_rate, obs_off_rate, obs_overhead_pct);
     return 0;
 }

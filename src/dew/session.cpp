@@ -162,14 +162,6 @@ session::session(trace::source& src, const sweep_request& request,
         throw std::invalid_argument{
             "session_options::chunk_records must be > 0"};
     }
-    if (request_.filter) {
-        filtered_ = request_.filter(src);
-        if (!filtered_) {
-            throw std::invalid_argument{
-                "sweep_request::filter returned a null source"};
-        }
-        source_ = filtered_.get();
-    }
 
     keys_.reserve(request_.block_sizes.size() *
                   request_.associativities.size());

@@ -67,8 +67,6 @@ public:
     // Validates the request (see validate(sweep_request) — throws
     // std::invalid_argument) and builds one simulator pass per
     // (block size, associativity) pair.  The source must outlive the session.
-    // With request.filter set, the session owns the filter's wrapper and
-    // pulls chunks through it instead of from `src` directly.
     session(trace::source& src, const sweep_request& request,
             session_options options = {});
     ~session();
@@ -142,9 +140,6 @@ private:
     sweep_request request_;
     session_options options_;
     trace::source* source_;
-    // Engaged iff request_.filter is set: the filter's wrapper over the
-    // caller's source, which source_ then points at.
-    std::unique_ptr<trace::source> filtered_;
     std::vector<pass_key> keys_;                    // block-major pass order
     std::vector<std::uint32_t> stream_block_sizes_; // distinct, first-listed
     std::vector<std::unique_ptr<detail::sweep_pass>> passes_;

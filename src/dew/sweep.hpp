@@ -7,19 +7,19 @@
 // parallelism is deterministic: results are identical to the serial sweep.
 //
 // Sweeps run on the chunked dew::session pipeline (dew/session.hpp): each
-// chunk of the trace is decoded exactly once per distinct block size and the
-// shared block-number stream is fed to every associativity pass through
-// simulate_blocks before the next chunk is pulled, on the serial and the
-// threaded path alike.  Peak memory is therefore bounded by the chunk, not
-// the trace; run_sweep over an in-memory trace pulls zero-copy chunks out of
-// it, and run_sweep over a trace::source (see session.hpp) never materialises
-// the trace at all.
+// chunk of the trace is decoded exactly once per distinct block size, and
+// every pass of that block size consumes it before the next chunk is
+// pulled, on the serial and the threaded path alike.  A DEW pass is a
+// basic_dew_pass fed the mra_walks that stage 1 (dew/mra_stage.hpp) derives
+// once per block size from the shared block-number stream; only CIPAR
+// passes take the stream itself, through simulate_blocks.  Peak memory is
+// therefore bounded by the chunk, not the trace; run_sweep over an
+// in-memory trace pulls zero-copy chunks out of it, and run_sweep over a
+// trace::source (see session.hpp) never materialises the trace at all.
 #ifndef DEW_DEW_SWEEP_HPP
 #define DEW_DEW_SWEEP_HPP
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "cache/config.hpp"
@@ -31,10 +31,11 @@
 
 namespace dew::core {
 
-// Which basic_dew_simulator instantiation a sweep runs.  `fast` (the
-// default) compiles all per-access counter updates out of the hot loop;
-// `full_counters` keeps the exact Table-3/4 instrumentation.  Miss counts
-// are bit-identical either way.
+// Which instrumentation policy every pass of a sweep is instantiated with
+// (basic_dew_pass for the DEW engine).  `fast` (the default) compiles all
+// per-access counter updates out of the hot loop; `full_counters` keeps the
+// exact Table-3/4 instrumentation.  Miss counts are bit-identical either
+// way.
 enum class sweep_instrumentation : std::uint8_t {
     fast = 0,
     full_counters = 1,
@@ -56,24 +57,6 @@ enum class sweep_engine : std::uint8_t {
     dew = 0,
     cipar = 1,
 };
-
-// Ingestion hook of a sweep: given the session's source, produce the source
-// the passes actually consume.  This is the composition point for
-// fractional and phase-aware simulation — wrap the stream in a
-// trace::time_sample_source / set_sample_source (src/trace/sampling.hpp)
-// or any custom filter, and the session, run_sweep and explore all honour
-// it without special-casing; the returned source must read from (and not
-// outlive) the one it is given.  An empty function feeds the stream
-// unfiltered.  A filtered sweep's miss counts cover the filtered stream
-// only (sweep_result::requests is the *kept* record count), and the
-// session owns the wrapper it gets from the hook — destroyed with the
-// session, so a raw pointer kept by the caller dangles once
-// run_sweep/explore return.  A caller who needs the sampler's
-// kept/consumed counters afterwards (trace::extrapolate_misses) should
-// instead construct the sampling adapter around the source directly and
-// pass the adapter as the session's source, leaving this hook empty.
-using stream_filter =
-    std::function<std::unique_ptr<trace::source>(trace::source&)>;
 
 // Every semantic field here feeds serve::fingerprint (dewlint's
 // identity-completeness rule cross-checks this against serve/key.cpp).
@@ -97,11 +80,6 @@ struct sweep_request {
     // apply to the DEW engine only; the CIPAR engine has no property
     // switches.
     sweep_engine engine{sweep_engine::dew};
-    // Optional sampling/phase ingestion hook (see stream_filter above).
-    // Two opaque callables cannot be proven equal, so serve::canonical()
-    // rejects filtered requests outright — they are never cached.
-    // dewlint: identity-exempt filter canonical() throws on a non-empty filter; filtered sweeps are uncacheable
-    stream_filter filter{};
 
     // The paper's Table 1 space: S = 2^0..2^14, B = 2^0..2^6, A = 2^0..2^4.
     [[nodiscard]] static sweep_request paper() {

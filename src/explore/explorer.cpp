@@ -52,8 +52,6 @@ core::sweep_request request_for(const explorer_options& options) {
         request.associativities.push_back(1);
     }
     request.threads = options.threads;
-    request.engine = options.engine;
-    request.filter = options.filter;
     return request;
 }
 

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "cache/config.hpp"
-#include "dew/sweep.hpp"
 #include "explore/config_space.hpp"
 #include "explore/energy_model.hpp"
 #include "phase/options.hpp"
@@ -89,16 +88,6 @@ struct explorer_options {
     // Worker threads for the underlying sweep (0 = serial).  Results are
     // identical either way; passes are independent.
     unsigned threads{0};
-    // Single-pass engine of the underlying sweep (dew | cipar); exact miss
-    // counts either way, so rankings are identical — this selects the cost
-    // model, not the answer.
-    core::sweep_engine engine{core::sweep_engine::dew};
-    // Optional ingestion filter forwarded to the underlying sweep
-    // (sweep_request::filter) — e.g. a trace::set_sample_source wrapper.
-    // Exact mode only: representative exploration throws
-    // std::invalid_argument when a filter is set, because the phase
-    // pipeline's record accounting assumes the unfiltered stream.
-    core::stream_filter filter{};
 
     // exact (default) or representative (see exploration_mode).
     exploration_mode mode{exploration_mode::exact};

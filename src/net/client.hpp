@@ -61,9 +61,7 @@ public:
     // Asynchronous remote submit.  Throws only on transport failure; a
     // service-side rejection (unknown digest, ill-formed request,
     // overload) surfaces through the submission's get(), matching the
-    // in-process API's async fault path.  Requests with a stream filter
-    // are rejected here (std::invalid_argument) — a callable cannot
-    // travel.
+    // in-process API's async fault path.
     [[nodiscard]] submission submit(const trace::trace_digest& digest,
                                     const serve::service_request& request);
 

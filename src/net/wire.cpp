@@ -410,13 +410,6 @@ std::uint64_t decode_cancel_target(std::string_view payload) {
 
 std::string encode_submit(const submit_message& message) {
     const serve::service_request& request = message.request;
-    if (request.sweep.filter) {
-        // Same contract as serve::canonical: an opaque callable cannot
-        // travel, and pretending it did would serve wrong answers.
-        throw std::invalid_argument{
-            "a service request with a stream filter cannot be sent over "
-            "the wire"};
-    }
     std::string out;
     put_u64(out, message.digest.words[0]);
     put_u64(out, message.digest.words[1]);

@@ -191,10 +191,9 @@ std::string encode_flag(bool value);
 std::string encode_cancel_target(std::uint64_t submit_id);
 [[nodiscard]] std::uint64_t decode_cancel_target(std::string_view payload);
 
-// submit: which trace (by digest), what question.  The request's
-// stream_filter must be empty (it cannot travel) and `threads` is not
-// carried (the serving side owns parallelism) — both exactly as
-// serve::canonical demands.  The trailing trace-context words
+// submit: which trace (by digest), what question.  `threads` is not
+// carried (the serving side owns parallelism), exactly as serve::canonical
+// normalises it.  The trailing trace-context words
 // (obs_trace_hi/lo, obs_parent_span) are pure telemetry: identity-exempt
 // in serve::key, never folded into the fingerprint, forwarded verbatim by
 // the router's backend hop.

@@ -72,16 +72,6 @@ representative_sweep(const source_factory& make_source,
         throw std::invalid_argument{
             "representative_sweep: source_factory must not be empty"};
     }
-    if (request.sweep.filter) {
-        // The warmup-fence accounting diffs session.result() at an exact
-        // record count, and extrapolation weights by full-trace records;
-        // a stream filter would break both invariants silently.  Sampling
-        // and phase selection do not compose through this entry point.
-        throw std::invalid_argument{
-            "representative_sweep: sweep_request::filter is not supported "
-            "(interval accounting assumes the unfiltered stream)"};
-    }
-
     representative_sweep_result result;
 
     // Stage 1-3: signature -> cluster -> select, one streaming pass.

@@ -50,9 +50,7 @@ using source_factory = std::function<std::unique_ptr<trace::source>()>;
 
 struct representative_sweep_request {
     // The configuration grid, engine, instrumentation and threading of
-    // every simulated interval (and of the calibration pass).  Must not
-    // carry a stream filter (std::invalid_argument otherwise): the
-    // interval accounting assumes the unfiltered stream.
+    // every simulated interval (and of the calibration pass).
     core::sweep_request sweep{};
     phase_options phase{};
     // Records simulated before each representative interval to warm the

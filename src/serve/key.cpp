@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <stdexcept>
 
 #include "common/bits.hpp"
 
@@ -41,12 +40,6 @@ private:
 } // namespace
 
 core::sweep_request canonical(const core::sweep_request& sweep) {
-    if (sweep.filter) {
-        throw std::invalid_argument{
-            "serve: a sweep_request with a stream filter has no provable "
-            "identity and cannot be cached or coalesced; run it through "
-            "run_sweep directly"};
-    }
     core::sweep_request normal = sweep;
     sort_unique(normal.block_sizes);
     sort_unique(normal.associativities);

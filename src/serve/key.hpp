@@ -16,11 +16,6 @@
 //   2. fingerprint() — a 128-bit hash of the canonical form.  Keys compare
 //      by full (trace digest, fingerprint) value, 256 bits total, so a
 //      collision needs simultaneous 128+128-bit coincidence.
-//
-// Requests carrying a stream_filter are rejected (std::invalid_argument):
-// a filter is an opaque callable, two of them cannot be proven equal, and
-// caching under an unprovable identity would serve wrong answers.  Filtered
-// sweeps stay on the direct run_sweep path.
 #ifndef DEW_SERVE_KEY_HPP
 #define DEW_SERVE_KEY_HPP
 
@@ -50,8 +45,7 @@ enum class service_mode : std::uint8_t {
 // dewlint: identity-struct
 struct service_request {
     // The configuration grid, engine, instrumentation and dew_options of
-    // the sweep.  `threads` is ignored (the service owns parallelism) and
-    // `filter` must be empty (see above).
+    // the sweep.  `threads` is ignored (the service owns parallelism).
     core::sweep_request sweep{};
     service_mode mode{service_mode::exact};
 
@@ -98,7 +92,7 @@ struct service_request {
 };
 
 // Normal forms (see above).  Throws std::invalid_argument on an ill-formed
-// sweep grid (validate(sweep_request)) or a non-empty stream filter.
+// sweep grid (validate(sweep_request)).
 [[nodiscard]] core::sweep_request canonical(const core::sweep_request& sweep);
 [[nodiscard]] service_request canonical(const service_request& request);
 

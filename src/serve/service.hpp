@@ -361,7 +361,7 @@ public:
     [[nodiscard]] bool has_trace(std::string_view name) const;
 
     // Asynchronously answers `request` against the named trace.  Throws
-    // std::invalid_argument (unknown trace, ill-formed or filtered request)
+    // std::invalid_argument (unknown trace or ill-formed request)
     // and service_overloaded (fail-fast overflow); any fault inside the
     // computation surfaces through the submission's future after the retry
     // policy is exhausted.  The result flags say how the answer was

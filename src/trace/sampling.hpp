@@ -80,9 +80,9 @@ struct set_sample_result {
 // The same two samplers as trace::source filters, so fractional simulation
 // composes with the chunked dew::session pipeline instead of requiring a
 // materialised mem_trace: wrap any source (file reader, generator,
-// in-memory span) and feed the wrapper to a session — or let the session
-// do the wrapping via sweep_request::filter (dew/sweep.hpp).  Records kept
-// are exactly the records the eager samplers keep, for every upstream
+// in-memory span) and feed the wrapper to a session, run_sweep or explore,
+// then read kept() / source_requests() for extrapolate_misses.  Records
+// kept are exactly the records the eager samplers keep, for every upstream
 // chunking (tests/trace/sampling_test.cpp proves drained == eager).  The
 // upstream source must outlive the adapter.
 

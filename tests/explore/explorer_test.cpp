@@ -3,7 +3,6 @@
 // must be consistent with the raw results.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 #include <stdexcept>
 
@@ -204,10 +203,11 @@ TEST(Explorer, RepresentativeModeRejectsSingleShotSources) {
                  std::invalid_argument);
 }
 
-TEST(Explorer, FilterForwardsToTheUnderlyingSweep) {
-    // explorer_options::filter composes sampling with exploration: the
-    // filtered exact exploration must match exploring the eagerly-sampled
-    // trace outright.
+TEST(Explorer, ExploresAWrappedSampleSource) {
+    // Sampling composes with exploration by wrapping the source: the
+    // exact exploration of a set-sampling wrapper must match exploring the
+    // eagerly-sampled trace outright, and the wrapper reports the kept
+    // records the exploration simulated.
     const trace::mem_trace trace =
         trace::make_mediabench_trace(trace::mediabench_app::mpeg2_dec, 20000);
     const trace::set_sample_spec spec{16, 8, 4, 1};
@@ -217,25 +217,18 @@ TEST(Explorer, FilterForwardsToTheUnderlyingSweep) {
     const exploration_result eager =
         dew::explore::explore(trace::set_sample(trace, spec).sampled, options);
 
-    options.filter =
-        [&spec](trace::source& upstream) -> std::unique_ptr<trace::source> {
-        return std::make_unique<trace::set_sample_source>(upstream, spec);
-    };
-    const exploration_result filtered =
-        dew::explore::explore(trace, options);
+    trace::span_source upstream{trace};
+    trace::set_sample_source sampled{upstream, spec};
+    const exploration_result wrapped =
+        dew::explore::explore(sampled, options);
 
-    EXPECT_EQ(filtered.requests, eager.requests);
-    ASSERT_EQ(filtered.configs.size(), eager.configs.size());
+    EXPECT_EQ(sampled.kept(), wrapped.requests);
+    EXPECT_EQ(wrapped.requests, eager.requests);
+    ASSERT_EQ(wrapped.configs.size(), eager.configs.size());
     for (std::size_t i = 0; i < eager.configs.size(); ++i) {
-        EXPECT_EQ(filtered.configs[i].misses, eager.configs[i].misses)
+        EXPECT_EQ(wrapped.configs[i].misses, eager.configs[i].misses)
             << cache::to_string(eager.configs[i].config);
     }
-
-    // Representative mode rejects a filter: the phase pipeline's record
-    // accounting assumes the unfiltered stream.
-    options.mode = exploration_mode::representative;
-    EXPECT_THROW((void)dew::explore::explore(trace, options),
-                 std::invalid_argument);
 }
 
 TEST(ExplorerReport, SummaryAndCsvRender) {

@@ -228,14 +228,6 @@ TEST(Wire, SubmitRoundTripsEveryRequestField) {
     EXPECT_EQ(serve::fingerprint(b), serve::fingerprint(a));
 }
 
-TEST(Wire, SubmitRejectsAStreamFilter) {
-    submit_message message{sample_digest(), sample_request()};
-    message.request.sweep.filter = [](trace::source&) {
-        return std::unique_ptr<trace::source>{};
-    };
-    EXPECT_THROW((void)encode_submit(message), std::invalid_argument);
-}
-
 TEST(Wire, ResultRoundTripsBitExactly) {
     for (const bool with_sweep : {false, true}) {
         for (const bool with_estimate : {false, true}) {

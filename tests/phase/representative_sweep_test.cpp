@@ -191,17 +191,6 @@ TEST(RepresentativeSweep, EstimateOfLookupAndErrors) {
     bad.phase.interval_records = 0;
     EXPECT_THROW((void)representative_sweep(trace, bad),
                  std::invalid_argument);
-
-    // A stream filter would silently break the fence accounting and the
-    // record-weighted extrapolation; the request is rejected up front.
-    representative_sweep_request filtered = grid_request();
-    filtered.sweep.filter =
-        [](trace::source& upstream) -> std::unique_ptr<trace::source> {
-        return std::make_unique<phase::fenced_window_source>(upstream, 0, 10,
-                                                             0);
-    };
-    EXPECT_THROW((void)representative_sweep(trace, filtered),
-                 std::invalid_argument);
 }
 
 TEST(RepresentativeSweep, EmptyTraceIsGraceful) {

@@ -123,16 +123,7 @@ TEST(ServeKey, ExactModeIgnoresRepresentativeKnobs) {
     EXPECT_NE(fingerprint(e), fingerprint(a)); // a's budget is positive
 }
 
-TEST(ServeKey, RejectsFilteredAndIllFormedRequests) {
-    service_request filtered = base_request();
-    filtered.sweep.filter =
-        [](trace::source&) -> std::unique_ptr<trace::source> {
-        return std::make_unique<trace::span_source>(
-            std::span<const trace::mem_access>{});
-    };
-    EXPECT_THROW((void)canonical(filtered), std::invalid_argument);
-    EXPECT_THROW((void)fingerprint(filtered), std::invalid_argument);
-
+TEST(ServeKey, RejectsIllFormedRequests) {
     service_request bad_grid = base_request();
     bad_grid.sweep.block_sizes = {12};
     EXPECT_THROW((void)fingerprint(bad_grid), std::invalid_argument);

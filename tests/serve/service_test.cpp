@@ -17,7 +17,6 @@
 #include "dew/sweep.hpp"
 #include "serve/service.hpp"
 #include "trace/mediabench.hpp"
-#include "trace/source.hpp"
 
 namespace {
 
@@ -294,7 +293,7 @@ TEST(Service, FailFastBackpressureThrowsServiceOverloaded) {
                  service_overloaded);
 }
 
-TEST(Service, RejectsUnknownTracesFiltersAndContentConflicts) {
+TEST(Service, RejectsUnknownTracesAndContentConflicts) {
     service svc{};
     EXPECT_THROW((void)svc.submit("nope", exact_request()),
                  std::invalid_argument);
@@ -302,15 +301,6 @@ TEST(Service, RejectsUnknownTracesFiltersAndContentConflicts) {
     svc.add_trace("cjpeg", workload());
     EXPECT_TRUE(svc.has_trace("cjpeg"));
     EXPECT_FALSE(svc.has_trace("nope"));
-
-    service_request filtered = exact_request();
-    filtered.sweep.filter =
-        [](trace::source&) -> std::unique_ptr<trace::source> {
-        return std::make_unique<trace::span_source>(
-            std::span<const trace::mem_access>{});
-    };
-    EXPECT_THROW((void)svc.submit("cjpeg", filtered),
-                 std::invalid_argument);
 
     // Same name, same content: idempotent.  Different content: rejected.
     EXPECT_NO_THROW((void)svc.add_trace("cjpeg", workload()));

@@ -2,7 +2,6 @@
 // claims the related-work contrast rests on.
 #include <gtest/gtest.h>
 
-#include <memory>
 
 #include "baseline/dinero_sim.hpp"
 #include "common/contracts.hpp"
@@ -188,10 +187,11 @@ TEST(SampleSources, RejectIllFormedSpecs) {
                  contract_violation);
 }
 
-TEST(SampleSources, ComposeWithTheChunkedSessionViaTheFilterHook) {
-    // The sweep_request ingestion hook: a session over the full trace with
-    // a set-sampling filter must produce exactly the misses of an eager
-    // sweep over the eagerly-sampled trace.
+TEST(SampleSources, ComposeWithTheChunkedSessionByWrappingTheSource) {
+    // Sampling is a property of the stream: a sweep over a set-sampling
+    // wrapper of the full trace must produce exactly the misses of a sweep
+    // over the eagerly-sampled trace, and the wrapper the caller keeps
+    // reports the kept records the sweep simulated.
     const mem_trace trace =
         make_mediabench_trace(mediabench_app::djpeg, 25000);
     const set_sample_spec spec{64, 32, 4, 1};
@@ -203,21 +203,22 @@ TEST(SampleSources, ComposeWithTheChunkedSessionViaTheFilterHook) {
     const core::sweep_result eager =
         core::run_sweep(set_sample(trace, spec).sampled, request);
 
-    request.filter = [&spec](source& upstream) {
-        return std::make_unique<set_sample_source>(upstream, spec);
-    };
-    const core::sweep_result filtered = core::run_sweep(trace, request);
+    span_source upstream{trace};
+    set_sample_source sampled{upstream, spec};
+    const core::sweep_result wrapped = core::run_sweep(sampled, request);
+    EXPECT_EQ(sampled.kept(), wrapped.requests);
+    EXPECT_EQ(sampled.source_requests(), trace.size());
 
-    ASSERT_EQ(filtered.passes.size(), eager.passes.size());
-    EXPECT_EQ(filtered.requests, eager.requests);
+    ASSERT_EQ(wrapped.passes.size(), eager.passes.size());
+    EXPECT_EQ(wrapped.requests, eager.requests);
     for (std::size_t i = 0; i < eager.passes.size(); ++i) {
         for (unsigned level = 0; level <= 6; ++level) {
-            EXPECT_EQ(filtered.passes[i].misses(
-                          level, filtered.passes[i].associativity()),
+            EXPECT_EQ(wrapped.passes[i].misses(
+                          level, wrapped.passes[i].associativity()),
                       eager.passes[i].misses(
                           level, eager.passes[i].associativity()))
                 << "pass " << i << " level " << level;
-            EXPECT_EQ(filtered.passes[i].misses(level, 1),
+            EXPECT_EQ(wrapped.passes[i].misses(level, 1),
                       eager.passes[i].misses(level, 1));
         }
     }

@@ -1,4 +1,4 @@
-// Ablation bench (extension of Table 4, DESIGN.md section 7): each DEW
+// Ablation bench (an extension of Table 4): each DEW
 // optimisation property is disabled in turn and the cost is measured in
 // node evaluations, tag-list searches, tag comparisons, and wall-clock
 // time.  Every variant stays *exact* — the per-configuration miss counts

@@ -3,7 +3,7 @@
 // small formatting shims.
 //
 // Every bench binary regenerates one table or figure of the paper.  The
-// traces are synthetic stand-ins (see DESIGN.md section 3), scaled down from
+// traces are synthetic stand-ins (see trace/mediabench.hpp), scaled down from
 // the paper's request counts by DEW_BENCH_SCALE (default in
 // bench_support/scale.hpp), so *absolute* seconds and millions differ from
 // the paper; the reproduction targets are the shapes: speedup ratios,

@@ -21,26 +21,20 @@
 #include <string>
 #include <string_view>
 #include <thread>
-
-#include <future>
 #include <vector>
 
 #include "baseline/dinero_sim.hpp"
+#include "bench_support/serving.hpp"
 #include "cache/set_model.hpp"
 #include "cipar/simulator.hpp"
 #include "dew/session.hpp"
 #include "dew/simulator.hpp"
 #include "dew/sweep.hpp"
 #include "lru/janapsatya_sim.hpp"
-#include "net/client.hpp"
-#include "net/server.hpp"
-#include "obs/recorder.hpp"
 #include "phase/representative_sweep.hpp"
 #include "seed_baseline.hpp"
-#include "serve/service.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/compressed_io.hpp"
-#include "trace/fault.hpp"
 #include "trace/mediabench.hpp"
 #include "trace/source.hpp"
 
@@ -48,13 +42,10 @@ namespace {
 
 using namespace dew;
 
-// A medium-locality workload reused by every micro bench; size kept well
-// above L1 working sets so the simulators do real eviction work.
-const trace::mem_trace& bench_trace() {
-    static const trace::mem_trace trace =
-        trace::make_mediabench_trace(trace::mediabench_app::cjpeg, 200'000);
-    return trace;
-}
+// Every micro bench runs on the serving harness's workload (a 200k-record
+// cjpeg trace) so the serve_* fields price the same stream.
+using bench::bench_trace;
+using bench::json_sweep_request;
 
 void BM_FifoSetAccess(benchmark::State& state) {
     const auto assoc = static_cast<std::uint32_t>(state.range(0));
@@ -317,17 +308,6 @@ struct sweep_comparison {
     sweep_measurement streaming;
 };
 
-// The 6-pass request shared by the eager/streaming comparison and the
-// phase measurement, so ratio_phase_rep_vs_streaming_sweep stays an
-// equal-request comparison by construction.
-core::sweep_request json_sweep_request() {
-    core::sweep_request request;
-    request.max_set_exp = 10;
-    request.block_sizes = {16, 32, 64};
-    request.associativities = {4, 8};
-    return request;
-}
-
 sweep_comparison measure_sweeps() {
     const trace::mem_trace& trace = bench_trace();
     const core::sweep_request request = json_sweep_request();
@@ -430,375 +410,6 @@ phase_measurement measure_phase() {
         best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
     }
     m.accesses_per_sec = static_cast<double>(trace.size()) / best;
-    return m;
-}
-
-// The sweep service under a duplicate-heavy storm: three distinct requests
-// (the shared 6-pass sweep at three depths), each submitted 8x with the
-// workers gated so the duplicates provably coalesce, then the whole storm
-// replayed against the warm cache.  Requests/sec covers both waves —
-// absorption, not raw simulation, is what the service adds; bench_service
-// breaks the same quantities down per phase.
-struct service_measurement {
-    double requests_per_sec{0.0};
-    double cache_hit_rate{0.0};
-    double coalesce_factor{0.0};
-    // Robustness quantities, each measured on a dedicated small service
-    // with a by-construction expected value (asserted below): half the
-    // deadline wave expires → timeout_rate 0.5; every injected transient
-    // fault recovers on its first retry → retry_success_rate 1.0; every
-    // over-watermark exact request sheds → degraded_served counts them.
-    double timeout_rate{0.0};
-    double retry_success_rate{0.0};
-    std::uint64_t degraded_served{0};
-    // Warm in-process submit->get round-trip percentiles (cache-hit path),
-    // the in-process analogue of the net_p*_ms fields.
-    double p50_ms{0.0};
-    double p95_ms{0.0};
-    double p99_ms{0.0};
-    // Observability cost on the storm + replay serving mix: recording
-    // enabled vs runtime-disabled (one relaxed load — the compiled-off
-    // stand-in, see docs/OBSERVABILITY.md), as a percentage slowdown: the
-    // median per-pair ratio, and the interquartile range of those ratios.
-    double obs_overhead_pct{0.0};
-    double obs_overhead_spread_pct{0.0};
-};
-
-service_measurement measure_service() {
-    const trace::mem_trace& trace = bench_trace();
-    serve::service service{
-        {2, 256, serve::overflow_policy::block, {8, 256}}};
-    service.add_trace("micro", trace);
-
-    std::vector<serve::service_request> requests;
-    for (const unsigned exp : {8u, 9u, 10u}) {
-        serve::service_request request;
-        request.sweep = json_sweep_request();
-        request.sweep.max_set_exp = exp;
-        requests.push_back(request);
-    }
-
-    // Exactness first: the service's answer must equal the direct sweep
-    // bit for bit before its throughput means anything.
-    {
-        const serve::service_result answer =
-            service.submit("micro", requests.back()).get();
-        const core::sweep_result direct =
-            core::run_sweep(trace, requests.back().sweep);
-        DEW_ASSERT(answer.sweep->passes.size() == direct.passes.size());
-        for (std::size_t i = 0; i < direct.passes.size(); ++i) {
-            for (unsigned level = 0;
-                 level <= direct.passes[i].max_level(); ++level) {
-                DEW_ASSERT(
-                    answer.sweep->passes[i].misses(
-                        level, direct.passes[i].associativity()) ==
-                    direct.passes[i].misses(
-                        level, direct.passes[i].associativity()));
-                DEW_ASSERT(answer.sweep->passes[i].misses(level, 1) ==
-                           direct.passes[i].misses(level, 1));
-            }
-        }
-    }
-
-    serve::service storm{{2, 256, serve::overflow_policy::block, {8, 256}}};
-    storm.add_trace("micro", trace);
-    constexpr std::size_t storm_duplicates = 8;
-    std::vector<serve::submission> handles;
-    handles.reserve(requests.size() * storm_duplicates * 2);
-    const auto t0 = std::chrono::steady_clock::now();
-    storm.pause();
-    for (std::size_t d = 0; d < storm_duplicates; ++d) {
-        for (const serve::service_request& request : requests) {
-            handles.push_back(storm.submit("micro", request));
-        }
-    }
-    storm.resume();
-    for (serve::submission& handle : handles) {
-        (void)handle.get();
-    }
-    handles.clear(); // a future is single-get; the replay wave starts fresh
-    for (std::size_t d = 0; d < storm_duplicates; ++d) {
-        for (const serve::service_request& request : requests) {
-            handles.push_back(storm.submit("micro", request));
-        }
-    }
-    for (serve::submission& handle : handles) {
-        (void)handle.get();
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-
-    const serve::service_stats stats = storm.stats();
-    service_measurement m;
-    m.requests_per_sec =
-        static_cast<double>(stats.submitted) /
-        std::chrono::duration<double>(t1 - t0).count();
-    m.cache_hit_rate = stats.cache_hit_rate();
-    m.coalesce_factor = stats.coalesce_factor();
-
-    // Sequential warm round trips against the storm service's cache for
-    // the in-process latency distribution.
-    {
-        std::vector<double> latencies;
-        constexpr std::size_t probes = 96;
-        latencies.reserve(probes);
-        for (std::size_t i = 0; i < probes; ++i) {
-            const auto s0 = std::chrono::steady_clock::now();
-            (void)storm.submit("micro", requests[i % requests.size()]).get();
-            const auto s1 = std::chrono::steady_clock::now();
-            latencies.push_back(
-                std::chrono::duration<double, std::milli>(s1 - s0).count());
-        }
-        std::sort(latencies.begin(), latencies.end());
-        m.p50_ms = latencies[latencies.size() / 2];
-        m.p95_ms = latencies[latencies.size() * 95 / 100];
-        m.p99_ms = latencies[latencies.size() * 99 / 100];
-    }
-
-    // Observability overhead on the serving mix (the storm + replay wave
-    // requests_per_sec times: computations, coalescing and cache hits
-    // together), recording on vs runtime-off.  A pure cache-hit
-    // denominator would price spans against a ~1 µs lookup and nothing
-    // else; the < 2% budget is about serving real work.  One mix round
-    // is ~75 ms, where shared-machine scheduler noise runs an order of
-    // magnitude above the true span cost, so the estimator is built for
-    // that regime: on/off run as adjacent pairs (sharing the machine's
-    // drift state) with alternating order, each pair yields one on/off
-    // slowdown ratio, and the reported figure is the median of the pair
-    // ratios with their interquartile range beside it — a small real cost
-    // reads as a small positive median, and the spread says how much of
-    // it the noise could explain.
-    {
-        const auto mix_seconds = [&] {
-            serve::service wave_service{
-                {2, 256, serve::overflow_policy::block, {8, 256}}};
-            wave_service.add_trace("micro", trace);
-            std::vector<serve::submission> wave;
-            wave.reserve(requests.size() * storm_duplicates * 2);
-            const auto b0 = std::chrono::steady_clock::now();
-            wave_service.pause();
-            for (std::size_t d = 0; d < storm_duplicates; ++d) {
-                for (const serve::service_request& request : requests) {
-                    wave.push_back(wave_service.submit("micro", request));
-                }
-            }
-            wave_service.resume();
-            for (serve::submission& handle : wave) {
-                (void)handle.get();
-            }
-            wave.clear();
-            for (std::size_t d = 0; d < storm_duplicates; ++d) {
-                for (const serve::service_request& request : requests) {
-                    wave.push_back(wave_service.submit("micro", request));
-                }
-            }
-            for (serve::submission& handle : wave) {
-                (void)handle.get();
-            }
-            return std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - b0)
-                .count();
-        };
-        const auto timed = [&](bool obs_on) {
-            obs::recorder::instance().set_enabled(obs_on);
-            return mix_seconds();
-        };
-        // One discarded warmup round: the first fresh-service wave pays
-        // allocator growth and page faults that would otherwise be billed
-        // to whichever side runs first.
-        (void)mix_seconds();
-        std::vector<double> pair_ratios;
-        constexpr int obs_pairs = 16;
-        pair_ratios.reserve(obs_pairs);
-        for (int round = 0; round < obs_pairs; ++round) {
-            double on_seconds = 0.0;
-            double off_seconds = 0.0;
-            if (round % 2 == 0) {
-                on_seconds = timed(true);
-                off_seconds = timed(false);
-            } else {
-                off_seconds = timed(false);
-                on_seconds = timed(true);
-            }
-            pair_ratios.push_back(on_seconds / off_seconds - 1.0);
-        }
-        obs::recorder::instance().set_enabled(true);
-        // Median and interquartile range of the pair ratios, unclamped: a
-        // negative median says the two sides are within the noise.
-        std::sort(pair_ratios.begin(), pair_ratios.end());
-        const std::size_t n = pair_ratios.size();
-        m.obs_overhead_pct =
-            50.0 * (pair_ratios[n / 2 - 1] + pair_ratios[n / 2]);
-        m.obs_overhead_spread_pct =
-            100.0 * (pair_ratios[3 * n / 4] - pair_ratios[n / 4]);
-    }
-
-    // Timeout rate, by construction 0.5: half of a gated wave carries an
-    // already-impossible 1 ns deadline, the other half none.
-    {
-        serve::service deadlines{
-            {2, 256, serve::overflow_policy::block, {4, 64}}};
-        deadlines.add_trace("micro", trace);
-        deadlines.pause();
-        std::vector<serve::submission> wave;
-        for (std::size_t i = 0; i < 2 * requests.size(); ++i) {
-            serve::service_request request = requests[i % requests.size()];
-            request.deadline = i % 2 == 0 ? std::chrono::nanoseconds{1}
-                                          : std::chrono::nanoseconds{0};
-            wave.push_back(deadlines.submit("micro", request));
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds{1});
-        deadlines.resume();
-        std::uint64_t expired = 0;
-        for (serve::submission& handle : wave) {
-            try {
-                (void)handle.get();
-            } catch (const serve::service_timeout&) {
-                ++expired;
-            }
-        }
-        DEW_ASSERT(expired == requests.size());
-        m.timeout_rate = deadlines.stats().timeout_rate();
-        DEW_ASSERT(m.timeout_rate == 0.5);
-    }
-
-    // Retry success rate, by construction 1.0: the injection hook fails
-    // every flight's first attempt, and every retry then succeeds.
-    {
-        serve::service_options faulty_options{
-            2, 256, serve::overflow_policy::block, {4, 64}};
-        faulty_options.retry_backoff = std::chrono::nanoseconds{0};
-        faulty_options.fault_hook = [](std::size_t, unsigned attempt) {
-            if (attempt == 0) {
-                throw trace::io_fault{"bench: injected transient fault"};
-            }
-        };
-        serve::service faulty{faulty_options};
-        faulty.add_trace("micro", trace);
-        std::vector<serve::submission> wave;
-        for (const serve::service_request& request : requests) {
-            wave.push_back(faulty.submit("micro", request));
-        }
-        for (serve::submission& handle : wave) {
-            DEW_ASSERT(handle.get().flight_retries == 1);
-        }
-        const serve::service_stats faulty_stats = faulty.stats();
-        DEW_ASSERT(faulty_stats.retries == requests.size());
-        m.retry_success_rate = faulty_stats.retry_success_rate();
-        DEW_ASSERT(m.retry_success_rate == 1.0);
-    }
-
-    // Degraded serves, by construction |requests| - 1: with the watermark
-    // at 1, everything submitted behind the first gated exact request
-    // sheds to the estimate tier.
-    {
-        serve::service_options degrade_options{
-            2, 256, serve::overflow_policy::degrade, {4, 64}};
-        degrade_options.degrade_watermark = 1;
-        serve::service degrade{degrade_options};
-        degrade.add_trace("micro", trace);
-        degrade.pause();
-        std::vector<serve::submission> wave;
-        for (const serve::service_request& request : requests) {
-            wave.push_back(degrade.submit("micro", request));
-        }
-        degrade.resume();
-        std::uint64_t shed = 0;
-        for (serve::submission& handle : wave) {
-            shed += handle.get().degraded ? 1 : 0;
-        }
-        DEW_ASSERT(shed == requests.size() - 1);
-        m.degraded_served = degrade.stats().degraded_served;
-        DEW_ASSERT(m.degraded_served == shed);
-    }
-    return m;
-}
-
-// The service behind the wire: a loopback net::server wrapping its own
-// service, a net::client submitting by content digest.  Requests/sec is
-// the pipelined drain of a duplicate storm against the warm cache; the
-// percentiles are sequential round-trip latencies of warm (cache-hit)
-// answers — they price the "DSNW" protocol and the loopback hop, not the
-// simulation (which the serve_* fields already cover).
-struct net_measurement {
-    double requests_per_sec{0.0};
-    double p50_ms{0.0};
-    double p95_ms{0.0};
-    double p99_ms{0.0};
-};
-
-net_measurement measure_net() {
-    const trace::mem_trace& trace = bench_trace();
-    net::server_options server_options;
-    server_options.service =
-        serve::service_options{2, 256, serve::overflow_policy::block,
-                               {8, 256}};
-    net::server server{server_options};
-    net::client client{"127.0.0.1", server.port()};
-    const trace::trace_digest digest = client.register_trace(trace);
-
-    std::vector<serve::service_request> requests;
-    for (const unsigned exp : {8u, 9u, 10u}) {
-        serve::service_request request;
-        request.sweep = json_sweep_request();
-        request.sweep.max_set_exp = exp;
-        requests.push_back(request);
-    }
-
-    // Exactness across the wire first (this also warms the cache): the
-    // served answer must equal the direct sweep count for count.
-    for (const serve::service_request& request : requests) {
-        const serve::service_result answer =
-            client.submit(digest, request).get();
-        const core::sweep_result direct = core::run_sweep(trace,
-                                                          request.sweep);
-        DEW_ASSERT(answer.sweep != nullptr);
-        DEW_ASSERT(answer.sweep->passes.size() == direct.passes.size());
-        for (std::size_t i = 0; i < direct.passes.size(); ++i) {
-            for (unsigned level = 0; level <= direct.passes[i].max_level();
-                 ++level) {
-                DEW_ASSERT(answer.sweep->passes[i].misses(
-                               level, direct.passes[i].associativity()) ==
-                           direct.passes[i].misses(
-                               level, direct.passes[i].associativity()));
-            }
-        }
-    }
-
-    net_measurement m;
-
-    // Pipelined storm: every submission in flight before the first drain,
-    // so the number is the wire's capacity, not one round trip at a time.
-    constexpr std::size_t storm_duplicates = 16;
-    std::vector<net::submission> handles;
-    handles.reserve(requests.size() * storm_duplicates);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t d = 0; d < storm_duplicates; ++d) {
-        for (const serve::service_request& request : requests) {
-            handles.push_back(client.submit(digest, request));
-        }
-    }
-    for (net::submission& handle : handles) {
-        DEW_ASSERT(handle.get().cache_hit);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    m.requests_per_sec = static_cast<double>(handles.size()) /
-                         std::chrono::duration<double>(t1 - t0).count();
-
-    // Sequential round trips for the latency distribution.
-    std::vector<double> latencies;
-    constexpr std::size_t probes = 96;
-    latencies.reserve(probes);
-    for (std::size_t i = 0; i < probes; ++i) {
-        const auto s0 = std::chrono::steady_clock::now();
-        (void)client.submit(digest, requests[i % requests.size()]).get();
-        const auto s1 = std::chrono::steady_clock::now();
-        latencies.push_back(
-            std::chrono::duration<double, std::milli>(s1 - s0).count());
-    }
-    std::sort(latencies.begin(), latencies.end());
-    m.p50_ms = latencies[latencies.size() / 2];
-    m.p95_ms = latencies[latencies.size() * 95 / 100];
-    m.p99_ms = latencies[latencies.size() * 99 / 100];
     return m;
 }
 
@@ -931,8 +542,10 @@ void write_micro_json() {
         measure<cipar::fast_cipar_simulator>(trace);
     const sweep_comparison sweeps = measure_sweeps();
     const phase_measurement phases = measure_phase();
-    const service_measurement serve = measure_service();
-    const net_measurement net = measure_net();
+    const bench::serving_measurement serving = bench::measure_serving();
+    const double serve_requests_per_sec =
+        static_cast<double>(serving.storm.requests + serving.replay.requests) /
+        (serving.storm.seconds + serving.replay.seconds);
     const double paper_sweep_ms = measure_paper_sweep_ms(trace);
 
     std::FILE* out = std::fopen("BENCH_micro.json", "w");
@@ -995,39 +608,51 @@ void write_micro_json() {
                  phases.accesses_per_sec /
                      sweeps.streaming.accesses_per_sec);
     std::fprintf(out, "  \"serve_requests_per_sec\": %.1f,\n",
-                 serve.requests_per_sec);
+                 serve_requests_per_sec);
     std::fprintf(out, "  \"serve_cache_hit_rate\": %.4f,\n",
-                 serve.cache_hit_rate);
+                 serving.storm_stats.cache_hit_rate());
     std::fprintf(out, "  \"serve_coalesce_factor\": %.3f,\n",
-                 serve.coalesce_factor);
+                 serving.storm_stats.coalesce_factor());
     std::fprintf(out, "  \"serve_timeout_rate\": %.4f,\n",
-                 serve.timeout_rate);
+                 serving.timeout_rate);
     std::fprintf(out, "  \"serve_degraded_served\": %llu,\n",
-                 static_cast<unsigned long long>(serve.degraded_served));
+                 static_cast<unsigned long long>(serving.degraded_served));
     std::fprintf(out, "  \"serve_retry_success_rate\": %.4f,\n",
-                 serve.retry_success_rate);
+                 serving.retry_success_rate);
     std::fprintf(out, "  \"net_requests_per_sec\": %.1f,\n",
-                 net.requests_per_sec);
-    std::fprintf(out, "  \"net_p50_ms\": %.3f,\n", net.p50_ms);
-    std::fprintf(out, "  \"net_p95_ms\": %.3f,\n", net.p95_ms);
-    std::fprintf(out, "  \"net_p99_ms\": %.3f,\n", net.p99_ms);
-    std::fprintf(out, "  \"serve_p50_ms\": %.3f,\n", serve.p50_ms);
-    std::fprintf(out, "  \"serve_p95_ms\": %.3f,\n", serve.p95_ms);
-    std::fprintf(out, "  \"serve_p99_ms\": %.3f,\n", serve.p99_ms);
+                 serving.net_replay.requests_per_sec());
+    std::fprintf(out, "  \"net_p50_ms\": %.3f,\n",
+                 serving.net_latency.p50);
+    std::fprintf(out, "  \"net_p95_ms\": %.3f,\n",
+                 serving.net_latency.p95);
+    std::fprintf(out, "  \"net_p99_ms\": %.3f,\n",
+                 serving.net_latency.p99);
+    std::fprintf(out, "  \"serve_p50_ms\": %.3f,\n",
+                 serving.serve_latency.p50);
+    std::fprintf(out, "  \"serve_p95_ms\": %.3f,\n",
+                 serving.serve_latency.p95);
+    std::fprintf(out, "  \"serve_p99_ms\": %.3f,\n",
+                 serving.serve_latency.p99);
     std::fprintf(out, "  \"obs_overhead_pct\": %.2f,\n",
-                 serve.obs_overhead_pct);
+                 serving.obs_overhead_pct);
     std::fprintf(out, "  \"obs_overhead_spread_pct\": %.2f,\n",
-                 serve.obs_overhead_spread_pct);
+                 serving.obs_overhead_spread_pct);
     // Microsecond twins of the *_ms percentiles: at %.3f a sub-millisecond
     // service reports "0.001" or flat zero in milliseconds, which reads as
     // a precision floor, not a latency.  The _ms names above are frozen
     // (dashboards key on them); these carry the 3+ significant digits.
-    std::fprintf(out, "  \"net_p50_us\": %.3f,\n", net.p50_ms * 1e3);
-    std::fprintf(out, "  \"net_p95_us\": %.3f,\n", net.p95_ms * 1e3);
-    std::fprintf(out, "  \"net_p99_us\": %.3f,\n", net.p99_ms * 1e3);
-    std::fprintf(out, "  \"serve_p50_us\": %.3f,\n", serve.p50_ms * 1e3);
-    std::fprintf(out, "  \"serve_p95_us\": %.3f,\n", serve.p95_ms * 1e3);
-    std::fprintf(out, "  \"serve_p99_us\": %.3f,\n", serve.p99_ms * 1e3);
+    std::fprintf(out, "  \"net_p50_us\": %.3f,\n",
+                 serving.net_latency.p50 * 1e3);
+    std::fprintf(out, "  \"net_p95_us\": %.3f,\n",
+                 serving.net_latency.p95 * 1e3);
+    std::fprintf(out, "  \"net_p99_us\": %.3f,\n",
+                 serving.net_latency.p99 * 1e3);
+    std::fprintf(out, "  \"serve_p50_us\": %.3f,\n",
+                 serving.serve_latency.p50 * 1e3);
+    std::fprintf(out, "  \"serve_p95_us\": %.3f,\n",
+                 serving.serve_latency.p95 * 1e3);
+    std::fprintf(out, "  \"serve_p99_us\": %.3f,\n",
+                 serving.serve_latency.p99 * 1e3);
     // The host stamp, so the committed trajectory says where it was taken.
     std::fprintf(out, "  \"host_cpu\": \"%s\",\n", host_cpu().c_str());
     std::fprintf(out, "  \"host_cores\": %u,\n",
@@ -1059,23 +684,14 @@ void write_micro_json() {
                 phases.accesses_per_sec / 1e6,
                 phases.accesses_per_sec / sweeps.streaming.accesses_per_sec,
                 phases.max_abs_error_pp);
-    std::printf("sweep service: %.0f req/s over the duplicate storm, cache "
-                "hit rate %.2f, coalesce factor %.2f\n",
-                serve.requests_per_sec, serve.cache_hit_rate,
-                serve.coalesce_factor);
-    std::printf("sweep service robustness: timeout rate %.2f (half-expired "
-                "wave), retry success rate %.2f (first-attempt faults), "
-                "%llu requests shed to the estimate tier\n",
-                serve.timeout_rate, serve.retry_success_rate,
-                static_cast<unsigned long long>(serve.degraded_served));
-    std::printf("networked service (loopback): %.0f req/s pipelined, warm "
-                "round trip p50 %.3f ms / p95 %.3f ms / p99 %.3f ms\n",
-                net.requests_per_sec, net.p50_ms, net.p95_ms, net.p99_ms);
-    std::printf("in-process warm round trip p50 %.3f ms / p95 %.3f ms / "
-                "p99 %.3f ms; obs recording overhead %.2f%% (IQR %.2f) "
-                "on the serving mix\n",
-                serve.p50_ms, serve.p95_ms, serve.p99_ms,
-                serve.obs_overhead_pct, serve.obs_overhead_spread_pct);
+    std::printf("sweep service: storm + replay %.0f req/s, loopback replay "
+                "%.0f req/s, warm p50 %.1f us in process / %.1f us over "
+                "loopback, obs overhead %.2f%% (IQR %.2f); bench_service "
+                "prints the phase table\n",
+                serve_requests_per_sec, serving.net_replay.requests_per_sec(),
+                serving.serve_latency.p50 * 1e3,
+                serving.net_latency.p50 * 1e3, serving.obs_overhead_pct,
+                serving.obs_overhead_spread_pct);
     std::printf("paper grid (525 configurations, serial): %.1f ms\n",
                 paper_sweep_ms);
     std::printf("sweep memory: eager %.1f B/ref vs streaming %.2f B/ref "

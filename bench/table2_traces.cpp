@@ -4,7 +4,7 @@
 // (byte-addressable requests).  This bench prints the paper's counts next
 // to the scaled synthetic stand-ins actually simulated here, plus the
 // locality statistics of each synthetic trace that justify the substitution
-// (DESIGN.md section 3): G.721 must be a tiny-footprint hot loop, MPEG-2 a
+// (trace/mediabench.hpp): G.721 must be a tiny-footprint hot loop, MPEG-2 a
 // multi-megabyte streaming workload, JPEG in between.
 #include <cstdio>
 #include <iostream>

@@ -2,8 +2,9 @@
 //
 // The paper drives its evaluation with SimpleScalar traces of six Mediabench
 // programs.  Neither is available offline, so this module provides the
-// substitution documented in DESIGN.md: a workload is a weighted mixture of
-// *streams*, each modelling one archetypal memory behaviour of media code:
+// substitution whose six profiles live in trace/mediabench.hpp: a workload
+// is a weighted mixture of *streams*, each modelling one archetypal memory
+// behaviour of media code:
 //
 //   * sequential : linear walk over a buffer with a fixed stride (raw image
 //                  input, bitstream output)

@@ -86,7 +86,7 @@ struct set_sample_result {
 // chunking (tests/trace/sampling_test.cpp proves drained == eager).  The
 // upstream source must outlive the adapter.
 
-// Common machinery of the two filters: the pull-until-one-record-survives
+// Common machinery of the filters below: the pull-until-one-record-survives
 // loop (a source must not return 0 while records remain) and the
 // consumed/kept bookkeeping.  Derived classes supply only the predicate.
 class sample_source_base : public source {
@@ -144,6 +144,23 @@ private:
     set_sample_spec spec_;
     unsigned block_bits_;
     std::uint64_t index_mask_;
+};
+
+// Keeps the instruction fetches (want_ifetch) or the loads and stores.
+// Split I/D L1 tuning is one run_sweep per side, each over this filter of
+// its own pass through a re-readable trace (docs/API.md §2).
+class type_filter_source final : public sample_source_base {
+public:
+    type_filter_source(source& upstream, bool want_ifetch) noexcept
+        : sample_source_base{upstream}, want_ifetch_{want_ifetch} {}
+
+private:
+    [[nodiscard]] bool keep(const mem_access& record,
+                            std::uint64_t /*index*/) const override {
+        return (record.type == access_type::ifetch) == want_ifetch_;
+    }
+
+    bool want_ifetch_;
 };
 
 } // namespace dew::trace

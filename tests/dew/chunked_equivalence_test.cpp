@@ -6,15 +6,18 @@
 // simulators' uniform simulate_chunk step.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <span>
 
 #include "baseline/dinero_sim.hpp"
+#include "dew/session.hpp"
 #include "dew/simulator.hpp"
-#include "dew/split.hpp"
 #include "lru/forest_sim.hpp"
 #include "lru/janapsatya_sim.hpp"
 #include "lru/stack_sim.hpp"
 #include "trace/mediabench.hpp"
+#include "trace/sampling.hpp"
 #include "trace/source.hpp"
 
 namespace {
@@ -151,47 +154,47 @@ TEST(ChunkedEquivalence, DineroSim) {
     }
 }
 
-TEST(ChunkedEquivalence, SplitSimulator) {
-    // The split I/D driver follows the same uniform incremental contract as
-    // every single-cache simulator: chunked feeding (and draining a
-    // trace::source) is bit-identical to one whole-trace simulate() on both
-    // sides, including the routing counts.
+TEST(ChunkedEquivalence, SplitTypeFilteredSweeps) {
+    // Split I/D tuning is one sweep per side over a type filter, and it
+    // follows the same uniform incremental contract: at every session chunk
+    // size each side equals the one-chunk sweep of its eagerly filtered
+    // trace, routing counts and tag comparisons included.
     const trace::mem_trace& trace = workload();
-    const split_config icache{7, 2, 32};
-    const split_config dcache{7, 4, 16};
+    for (const bool want_ifetch : {true, false}) {
+        sweep_request request;
+        request.max_set_exp = 7;
+        request.block_sizes = {want_ifetch ? 32u : 16u};
+        request.associativities = {want_ifetch ? 2u : 4u};
+        request.instrumentation = sweep_instrumentation::full_counters;
+        trace::mem_trace filtered;
+        std::copy_if(trace.begin(), trace.end(), std::back_inserter(filtered),
+                     [&](const trace::mem_access& access) {
+                         return (access.type == trace::access_type::ifetch) ==
+                                want_ifetch;
+                     });
+        const sweep_result whole = run_sweep(filtered, request);
+        const dew_result& expected = whole.passes.at(0);
+        const std::uint32_t assoc = request.associativities[0];
 
-    split_simulator whole{icache, dcache};
-    whole.simulate(trace);
-
-    auto expect_sides_equal = [&](const split_simulator& actual) {
-        EXPECT_EQ(actual.ifetches(), whole.ifetches());
-        EXPECT_EQ(actual.data_accesses(), whole.data_accesses());
-        for (unsigned level = 0; level <= 7; ++level) {
-            EXPECT_EQ(actual.icache_result().misses(level, 2),
-                      whole.icache_result().misses(level, 2))
-                << level;
-            EXPECT_EQ(actual.dcache_result().misses(level, 4),
-                      whole.dcache_result().misses(level, 4))
-                << level;
-            EXPECT_EQ(actual.dcache_result().misses(level, 1),
-                      whole.dcache_result().misses(level, 1))
-                << level;
+        for (const std::size_t chunk : chunk_sizes) {
+            trace::span_source upstream{{trace.data(), trace.size()}};
+            trace::type_filter_source side{upstream, want_ifetch};
+            const sweep_result chunked = run_sweep(side, request, {chunk});
+            EXPECT_EQ(side.kept(), filtered.size());
+            EXPECT_EQ(chunked.requests, whole.requests);
+            const dew_result& actual = chunked.passes.at(0);
+            for (unsigned level = 0; level <= 7; ++level) {
+                EXPECT_EQ(actual.misses(level, assoc),
+                          expected.misses(level, assoc))
+                    << level;
+                EXPECT_EQ(actual.misses(level, 1), expected.misses(level, 1))
+                    << level;
+            }
+            EXPECT_EQ(actual.counters().tag_comparisons,
+                      expected.counters().tag_comparisons)
+                << "chunk " << chunk;
         }
-        EXPECT_EQ(actual.icache().counters().tag_comparisons,
-                  whole.icache().counters().tag_comparisons);
-    };
-
-    for (const std::size_t chunk : chunk_sizes) {
-        split_simulator chunked{icache, dcache};
-        feed_in_chunks(chunked, trace, chunk);
-        expect_sides_equal(chunked);
     }
-
-    // Draining a source in small pulls is the same contract end to end.
-    split_simulator streamed{icache, dcache};
-    trace::span_source src{{trace.data(), trace.size()}};
-    EXPECT_EQ(streamed.simulate(src, 777), trace.size());
-    expect_sides_equal(streamed);
 }
 
 TEST(ChunkedEquivalence, LruSimulators) {

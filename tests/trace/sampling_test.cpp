@@ -175,6 +175,64 @@ TEST(SetSampleSource, ChunkedEqualsEagerAcrossChunkSizes) {
     }
 }
 
+TEST(TypeFilterSource, ChunkedEqualsEagerFilterAcrossChunkSizes) {
+    const mem_trace trace =
+        make_mediabench_trace(mediabench_app::cjpeg, 20000);
+    for (const bool want_ifetch : {true, false}) {
+        mem_trace eager;
+        for (const mem_access& access : trace) {
+            if ((access.type == access_type::ifetch) == want_ifetch) {
+                eager.push_back(access);
+            }
+        }
+        for (const std::size_t chunk :
+             {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+            span_source upstream{{trace.data(), trace.size()}};
+            throttled_source throttled{upstream, chunk};
+            type_filter_source filtered{throttled, want_ifetch};
+            EXPECT_EQ(drain(filtered), eager)
+                << "chunk " << chunk << " ifetch " << want_ifetch;
+            EXPECT_EQ(filtered.kept(), eager.size());
+        }
+    }
+}
+
+TEST(TypeFilterSource, SidesPartitionTheStream) {
+    const mem_trace trace =
+        make_mediabench_trace(mediabench_app::g721_enc, 20000);
+    span_source i_upstream{trace};
+    type_filter_source ifetches{i_upstream, true};
+    (void)drain(ifetches);
+    span_source d_upstream{trace};
+    type_filter_source data{d_upstream, false};
+    (void)drain(data);
+    EXPECT_GT(ifetches.kept(), 0u);
+    EXPECT_GT(data.kept(), 0u);
+    EXPECT_EQ(ifetches.source_requests(), trace.size());
+    EXPECT_EQ(data.source_requests(), trace.size());
+    EXPECT_EQ(ifetches.source_requests(), ifetches.kept() + data.kept());
+}
+
+TEST(TypeFilterSource, InstructionSideOfPureDataTraceEndsCleanly) {
+    mem_trace trace;
+    for (std::uint64_t i = 0; i < 100; ++i) {
+        trace.push_back({i * 4, access_type::read});
+        trace.push_back({i * 4, access_type::write});
+    }
+    span_source upstream{trace};
+    type_filter_source ifetches{upstream, true};
+    core::sweep_request request;
+    request.max_set_exp = 4;
+    request.block_sizes = {16};
+    request.associativities = {2};
+    const core::sweep_result result = core::run_sweep(ifetches, request);
+    EXPECT_EQ(ifetches.kept(), 0u);
+    EXPECT_EQ(ifetches.source_requests(), trace.size());
+    EXPECT_EQ(result.requests, 0u);
+    mem_access record{};
+    EXPECT_EQ(ifetches.next({&record, 1}), 0u);
+}
+
 TEST(SampleSources, RejectIllFormedSpecs) {
     span_source upstream{{}};
     EXPECT_THROW((time_sample_source{upstream, {0, 1, 0}}),

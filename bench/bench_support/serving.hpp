@@ -9,7 +9,8 @@
 //   deadline   the cold phase with a 10-minute deadline on every request:
 //              the armed deadline sweeps' cost (nothing may time out);
 //   degrade    the storm against overflow_policy::degrade at watermark 1:
-//              queued-up exact requests shed to the estimate tier;
+//              queued-up exact requests shed to their estimate-tier
+//              question, and its duplicates coalesce under its key;
 //   net-storm, net-replay
 //              the storm and its replay through the "DSNW" wire: a
 //              loopback net::server, a net::client submitting by digest.

@@ -262,34 +262,70 @@ constexpr unsigned json_max_level = 14;
 constexpr std::uint32_t json_assoc = 4;
 constexpr std::uint32_t json_block = 32;
 constexpr int json_repetitions = 5;
+constexpr int speedup_pairs = 11;
 
 struct micro_measurement {
     double accesses_per_sec{0.0}; // simulation only, best cold pass of N
     double construct_ms{0.0};     // tree allocation + cold-state init
 };
 
-// Best-of-N simulation throughput of a cold simulator per rep;
-// construction is timed separately so the steady-state number is not
-// polluted by one-off allocation (and the allocation cost stays visible).
+struct pass_seconds {
+    double construct{0.0};
+    double simulate{0.0};
+};
+
+// One cold simulator over the whole trace; construction is timed
+// separately so the steady-state number is not polluted by one-off
+// allocation (and the allocation cost stays visible).
+template <class Sim>
+pass_seconds timed_pass(const trace::mem_trace& trace) {
+    const auto t0 = std::chrono::steady_clock::now();
+    Sim sim{json_max_level, json_assoc, json_block};
+    const auto t1 = std::chrono::steady_clock::now();
+    sim.simulate(trace);
+    const auto t2 = std::chrono::steady_clock::now();
+    return {std::chrono::duration<double>(t1 - t0).count(),
+            std::chrono::duration<double>(t2 - t1).count()};
+}
+
+// Best-of-N simulation throughput and construction time.
 template <class Sim>
 micro_measurement measure(const trace::mem_trace& trace) {
-    micro_measurement m;
     double best_sim = 1e300;
     double best_construct = 1e300;
     for (int rep = 0; rep < json_repetitions; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        Sim sim{json_max_level, json_assoc, json_block};
-        const auto t1 = std::chrono::steady_clock::now();
-        sim.simulate(trace);
-        const auto t2 = std::chrono::steady_clock::now();
-        best_construct = std::min(
-            best_construct, std::chrono::duration<double>(t1 - t0).count());
-        best_sim = std::min(best_sim,
-                            std::chrono::duration<double>(t2 - t1).count());
+        const pass_seconds pass = timed_pass<Sim>(trace);
+        best_construct = std::min(best_construct, pass.construct);
+        best_sim = std::min(best_sim, pass.simulate);
     }
-    m.accesses_per_sec = static_cast<double>(trace.size()) / best_sim;
-    m.construct_ms = best_construct * 1e3;
-    return m;
+    return {static_cast<double>(trace.size()) / best_sim,
+            best_construct * 1e3};
+}
+
+// The arena+fast speedup over the seed path, the CI-gated headline: the
+// median seed/fast simulation-time ratio over adjacent pairs, in
+// alternating order so both passes of a pair share the machine's drift
+// state.  Two independent best-of-N figures can drift apart on a shared
+// machine (one such run read 1.21 against a true ~1.8).
+double measure_fast_speedup(const trace::mem_trace& trace) {
+    const auto seed = [&trace] {
+        return timed_pass<bench::seed::counted_simulator>(trace).simulate;
+    };
+    const auto fast = [&trace] {
+        return timed_pass<core::fast_dew_simulator>(trace).simulate;
+    };
+    std::vector<double> ratios;
+    for (int pair = 0; pair < speedup_pairs; ++pair) {
+        if (pair % 2 == 0) {
+            const double seed_s = seed();
+            ratios.push_back(seed_s / fast());
+        } else {
+            const double fast_s = fast();
+            ratios.push_back(seed() / fast_s);
+        }
+    }
+    std::sort(ratios.begin(), ratios.end());
+    return ratios[ratios.size() / 2];
 }
 
 // Peak resident bytes per reference of the whole-space sweep, eager versus
@@ -536,6 +572,7 @@ void write_micro_json() {
         measure<bench::seed::counted_simulator>(trace);
     const micro_measurement counted = measure<core::dew_simulator>(trace);
     const micro_measurement fast = measure<core::fast_dew_simulator>(trace);
+    const double fast_speedup = measure_fast_speedup(trace);
     const micro_measurement cipar_counted =
         measure<cipar::cipar_simulator>(trace);
     const micro_measurement cipar_fast =
@@ -573,7 +610,7 @@ void write_micro_json() {
     std::fprintf(out, "  \"speedup_arena_counted_vs_seed\": %.3f,\n",
                  counted.accesses_per_sec / seed.accesses_per_sec);
     std::fprintf(out, "  \"speedup_arena_fast_vs_seed\": %.3f,\n",
-                 fast.accesses_per_sec / seed.accesses_per_sec);
+                 fast_speedup);
     std::fprintf(out, "  \"eager_sweep_accesses_per_sec\": %.0f,\n",
                  sweeps.eager.accesses_per_sec);
     std::fprintf(out, "  \"streaming_sweep_accesses_per_sec\": %.0f,\n",
@@ -663,12 +700,11 @@ void write_micro_json() {
     std::fclose(out);
 
     std::printf("BENCH_micro.json: seed %.2fM acc/s, arena+counted %.2fM "
-                "acc/s (x%.2f), arena+fast %.2fM acc/s (x%.2f); construct "
-                "seed %.2fms vs arena %.2fms\n",
+                "acc/s (x%.2f), arena+fast %.2fM acc/s (x%.2f, median of "
+                "%d pairs); construct seed %.2fms vs arena %.2fms\n",
                 seed.accesses_per_sec / 1e6, counted.accesses_per_sec / 1e6,
                 counted.accesses_per_sec / seed.accesses_per_sec,
-                fast.accesses_per_sec / 1e6,
-                fast.accesses_per_sec / seed.accesses_per_sec,
+                fast.accesses_per_sec / 1e6, fast_speedup, speedup_pairs,
                 seed.construct_ms, fast.construct_ms);
     std::printf("cipar engine: counted %.2fM acc/s, fast %.2fM acc/s "
                 "(x%.2f of dew fast)\n",

@@ -77,10 +77,6 @@ struct router::state {
         if (options.backends.empty()) {
             throw std::invalid_argument{"router needs at least one backend"};
         }
-        if (options.virtual_nodes == 0) {
-            throw std::invalid_argument{
-                "router needs at least one virtual node per backend"};
-        }
         for (const backend_address& address : options.backends) {
             auto node = std::make_unique<backend>();
             node->address = address;
@@ -89,8 +85,7 @@ struct router::state {
             backends.push_back(std::move(node));
         }
         for (std::size_t index = 0; index < backends.size(); ++index) {
-            for (std::size_t replica = 0; replica < options.virtual_nodes;
-                 ++replica) {
+            for (std::size_t replica = 0; replica < virtual_nodes; ++replica) {
                 // Fixed-constant mixing, same reproducibility contract as
                 // the digests: the ring depends only on (index, replica).
                 const std::uint64_t point =

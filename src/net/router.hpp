@@ -46,10 +46,11 @@ struct backend_address {
     std::uint16_t port{0};
 };
 
+// Ring points per backend; more points = smoother keyspace shares.
+inline constexpr std::size_t virtual_nodes = 64;
+
 struct router_options {
     std::vector<backend_address> backends;
-    // Ring points per backend; more points = smoother keyspace shares.
-    std::size_t virtual_nodes{64};
     // Outstanding submissions at/above which a backend is skipped.
     // 0 = unlimited.
     std::size_t max_inflight_per_backend{0};

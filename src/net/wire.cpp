@@ -748,8 +748,8 @@ std::vector<obs::metric> decode_metrics(std::string_view payload) {
 
 namespace {
 
-// The server-side ring is bounded (service_options::event_ring_capacity,
-// default 1024); a count past this is garbage framing, not a big ring.
+// The server-side ring is bounded (serve::event_ring_capacity = 1024);
+// a count past this is garbage framing, not a big ring.
 constexpr std::uint32_t max_event_entries = 1u << 20;
 
 } // namespace

@@ -63,6 +63,38 @@ const config_estimate& representative_sweep_result::estimate_of(
         cache::to_string(config)};
 }
 
+void calibrate(representative_sweep_result& estimate,
+               const core::sweep_result& exact) {
+    const std::vector<core::config_outcome> outcomes = exact.outcomes();
+    if (estimate.configs.empty() && !outcomes.empty()) {
+        // Empty trace produced no phases; still report the covered
+        // configurations, all with zero estimates.
+        estimate.configs.resize(outcomes.size());
+        for (std::size_t c = 0; c < outcomes.size(); ++c) {
+            estimate.configs[c].config = outcomes[c].config;
+        }
+    }
+    DEW_ASSERT(estimate.configs.size() == outcomes.size());
+    estimate.calibration_seconds = exact.seconds;
+    estimate.calibrated = true;
+    estimate.max_abs_error_pp = 0.0;
+    for (std::size_t c = 0; c < outcomes.size(); ++c) {
+        config_estimate& config = estimate.configs[c];
+        DEW_ASSERT(outcomes[c].config.set_count == config.config.set_count);
+        config.exact_misses = outcomes[c].misses;
+        config.exact_miss_rate =
+            estimate.total_records == 0
+                ? 0.0
+                : static_cast<double>(outcomes[c].misses) /
+                      static_cast<double>(estimate.total_records);
+        config.abs_error_pp =
+            100.0 * std::abs(config.estimated_miss_rate -
+                             config.exact_miss_rate);
+        estimate.max_abs_error_pp =
+            std::max(estimate.max_abs_error_pp, config.abs_error_pp);
+    }
+}
+
 representative_sweep_result
 representative_sweep(const source_factory& make_source,
                      const representative_sweep_request& request) {
@@ -141,38 +173,8 @@ representative_sweep(const source_factory& make_source,
     }
 
     if (request.calibrate) {
-        const auto calibration_start = clock::now();
         const std::unique_ptr<trace::source> src = make_source();
-        const core::sweep_result exact =
-            core::run_sweep(*src, request.sweep);
-        result.calibration_seconds = seconds_since(calibration_start);
-        result.calibrated = true;
-
-        const std::vector<core::config_outcome> outcomes = exact.outcomes();
-        if (result.configs.empty() && !outcomes.empty()) {
-            // Empty trace produced no phases; still report the covered
-            // configurations, all with zero estimates.
-            result.configs.resize(outcomes.size());
-            for (std::size_t c = 0; c < outcomes.size(); ++c) {
-                result.configs[c].config = outcomes[c].config;
-            }
-        }
-        DEW_ASSERT(result.configs.size() == outcomes.size());
-        for (std::size_t c = 0; c < outcomes.size(); ++c) {
-            config_estimate& estimate = result.configs[c];
-            DEW_ASSERT(outcomes[c].config.set_count ==
-                       estimate.config.set_count);
-            estimate.exact_misses = outcomes[c].misses;
-            estimate.exact_miss_rate =
-                result.total_records == 0
-                    ? 0.0
-                    : static_cast<double>(outcomes[c].misses) /
-                          static_cast<double>(result.total_records);
-            estimate.abs_error_pp = 100.0 * std::abs(estimate.estimated_miss_rate -
-                                                     estimate.exact_miss_rate);
-            result.max_abs_error_pp =
-                std::max(result.max_abs_error_pp, estimate.abs_error_pp);
-        }
+        calibrate(result, core::run_sweep(*src, request.sweep));
     }
     return result;
 }

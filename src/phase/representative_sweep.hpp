@@ -19,11 +19,12 @@
 // so the representative's cache state is warm and no simulator or session
 // code path is special-cased for sampling.
 //
-// When request.calibrate is set, one exact sweep also runs and every
-// estimate carries its measured absolute error in miss-rate percentage
-// points — the estimator reports its own accuracy instead of asking to be
-// trusted (tests/phase/representative_sweep_test.cpp bounds it on the
-// Mediabench profile grid).
+// calibrate() compares an estimate against an exact sweep of the same grid
+// (request.calibrate runs one and calls it), and every estimate then
+// carries its measured absolute error in miss-rate percentage points — the
+// estimator reports its own accuracy instead of asking to be trusted
+// (tests/phase/representative_sweep_test.cpp bounds it on the Mediabench
+// profile grid).
 //
 // Because both the signature pass and the simulation passes need to read
 // the trace, the entry point takes a *factory* of sources rather than a
@@ -60,7 +61,7 @@ struct representative_sweep_request {
     // times over, or per-interval cold starts bias estimates upward on
     // high-hit-rate workloads.
     std::uint64_t warmup_records{2048};
-    // Also run the exact sweep and fill the exact/error fields.
+    // Also run the exact sweep and calibrate() against it.
     bool calibrate{false};
 };
 
@@ -114,6 +115,12 @@ representative_sweep(const source_factory& make_source,
 [[nodiscard]] representative_sweep_result
 representative_sweep(const trace::mem_trace& trace,
                      const representative_sweep_request& request);
+
+// Fills the exact/error fields of `estimate` and sets calibrated, from
+// `exact` = run_sweep of the same grid over the same trace
+// (calibration_seconds = exact.seconds).
+void calibrate(representative_sweep_result& estimate,
+               const core::sweep_result& exact);
 
 } // namespace dew::phase
 

@@ -54,6 +54,18 @@ using clock = std::chrono::steady_clock;
 
 constexpr clock::time_point no_deadline = clock::time_point::max();
 
+// What an exact request sheds to under overflow_policy::degrade: the
+// uncalibrated estimate of the same sweep at default phase knobs and
+// warm-up, under its own key.
+service_request estimate_question(const service_request& exact) {
+    service_request question = exact;
+    question.mode = service_mode::representative;
+    question.phase = phase::phase_options{};
+    question.warmup_records = service_request{}.warmup_records;
+    question.error_budget_pp = 0.0;
+    return canonical(question);
+}
+
 service_result to_result(const cached_value& value) {
     service_result out;
     out.sweep = value.sweep;
@@ -111,6 +123,7 @@ struct waiter {
     std::uint64_t correlation{0};
     std::uint64_t trace_hi{0};
     std::uint64_t trace_lo{0};
+    bool degraded{false}; // shed by submit to the estimate-tier question
 };
 
 } // namespace
@@ -129,12 +142,6 @@ struct service::flight {
     service_request request; // canonical form — what actually runs
     request_key key;
     std::shared_ptr<trace_entry> trace;
-    clock::time_point start;
-    // Degraded flights answer an exact question from the estimate tier;
-    // they never enter the in-flight map (coalescing would hand one
-    // caller's degraded answer to another who might have been served
-    // exactly) and never enter the cache.
-    bool degraded{false};
 
     // Guards waiters/live/earliest_deadline/results/error.
     std::mutex mutex; // dewlint: lock-order serve-flight 40
@@ -154,18 +161,16 @@ struct service::flight {
     std::atomic<unsigned> attempt{0};      // 0 = first try
     std::atomic<std::size_t> remaining{0}; // jobs not yet finished
 
-    // Observability tags, fixed at creation: the submit frame's DSNW id
-    // (0 = local) and the request fingerprint's first word — every span
-    // this flight emits carries both, and start_ns anchors the
-    // whole-flight span (0 when recording is off at creation).
-    std::uint64_t obs_correlation{0};
-    std::uint64_t obs_fingerprint{0};
+    // Every span this flight emits is tagged with request.obs_correlation
+    // (the submit frame's DSNW id, 0 = local) and key.request[0]; start_ns
+    // anchors the whole-flight span (0 when recording is off at creation).
     std::uint64_t start_ns{0};
 
     // Wide-event timestamps, independent of the recorder's on/off state
     // (the event ring always runs): admission time, and the first job
     // pickup (0 = never picked up) — together they split a settled
-    // request's total into queue_ns and run_ns.
+    // request's total into queue_ns and run_ns.  An exact flight's
+    // assembled sweep reports admission -> settle as its seconds.
     std::uint64_t admitted_ns{0};
     std::atomic<std::uint64_t> pickup_ns{0};
 };
@@ -230,8 +235,7 @@ struct service::state {
 
     explicit state(const service_options& opts)
         : options{opts}, cache{opts.cache},
-          events{std::make_shared<obs::event_ring>(
-              opts.event_ring_capacity)},
+          events{std::make_shared<obs::event_ring>(event_ring_capacity)},
           slo{std::make_shared<obs::slo_window>(
               opts.slo_target.count() > 0
                   ? static_cast<std::uint64_t>(opts.slo_target.count())
@@ -261,10 +265,7 @@ struct service::state {
         e.key_hi = f.key.request[0];
         e.key_lo = f.key.request[1];
         e.node = node;
-        e.tier = f.degraded ||
-                         f.request.mode == service_mode::representative
-                     ? 1
-                     : 0;
+        e.tier = f.request.mode == service_mode::exact ? 0 : 1;
         e.retries = f.attempt.load(std::memory_order_relaxed);
         e.start_ns = f.admitted_ns;
         const std::uint64_t now = obs::now_ns();
@@ -286,6 +287,13 @@ struct service::state {
         bool joined{false};
     };
 
+    // A shed waiter's answer, however it was served: its disposition (which
+    // flags the result too) and the counter, before the completion fires.
+    static void mark_degraded(taken& t, counters& c) {
+        t.event.disposition = obs::event_disposition::degraded;
+        c.bump(&service_stats::degraded_served);
+    }
+
     // Settles waiter `i` of `f` (f.mutex held).  `settled` flips once, so
     // the first settle site here owns the completion; cancel levers index
     // the vector, so waiters are never erased.
@@ -301,7 +309,12 @@ struct service::state {
         e.trace_hi = w.trace_hi;
         e.trace_lo = w.trace_lo;
         e.disposition = disposition;
-        return {std::move(w.done), e, i > 0};
+        taken t{std::move(w.done), e, i > 0};
+        if (w.degraded && (disposition == obs::event_disposition::computed ||
+                           disposition == obs::event_disposition::coalesced)) {
+            mark_degraded(t, c);
+        }
+        return t;
     }
 
     // Every still-live waiter of `f`: the initiator as `first`, coalesced
@@ -335,6 +348,8 @@ struct service::state {
         for (const taken& t : batch) {
             service_result result = error ? service_result{} : answer;
             result.coalesced = !error && t.joined;
+            result.degraded =
+                t.event.disposition == obs::event_disposition::degraded;
             try {
                 if (t.done) {
                     t.done(std::move(result), error);
@@ -446,12 +461,19 @@ struct service::state {
         latency("serve.settle_ns", c.settle_ns);
     }
 
-    [[nodiscard]] std::size_t degrade_watermark() const noexcept {
-        if (options.degrade_watermark != 0) {
-            return options.degrade_watermark;
+    // overflow_policy::degrade: an exact request finding the queue at/above
+    // the high-watermark is answered by its estimate-tier question instead.
+    [[nodiscard]] bool sheds(const service_request& normal) {
+        if (options.overflow != overflow_policy::degrade ||
+            normal.mode != service_mode::exact) {
+            return false;
         }
-        return options.queue_capacity / 2 == 0 ? 1
-                                               : options.queue_capacity / 2;
+        const std::size_t watermark =
+            options.degrade_watermark != 0
+                ? options.degrade_watermark
+                : std::max<std::size_t>(options.queue_capacity / 2, 1);
+        const std::lock_guard<std::mutex> lock{queue_mutex};
+        return queue.size() >= watermark;
     }
 
     // One result-cache lookup, timed as its own stage.
@@ -467,8 +489,8 @@ struct service::state {
     // is no flight, and no cancel lever: nothing is left to withdraw).
     [[nodiscard]] taken cache_hit(const service_request& normal,
                                   const request_key& key,
-                                  std::uint64_t admitted_ns,
-                                  completion done) {
+                                  std::uint64_t admitted_ns, completion done,
+                                  bool degraded) {
         ctrs->bump(&service_stats::cache_hits);
         ctrs->bump(&service_stats::completed);
         obs::request_event e;
@@ -483,7 +505,11 @@ struct service::state {
         e.start_ns = admitted_ns;
         const std::uint64_t now = obs::now_ns();
         e.total_ns = now >= admitted_ns ? now - admitted_ns : 0;
-        return {std::move(done), e, false};
+        taken t{std::move(done), e, false};
+        if (degraded) {
+            mark_degraded(t, *ctrs);
+        }
+        return t;
     }
 
     // The cancel lever for waiter `index` of `f`.  Captures only the
@@ -556,10 +582,9 @@ struct service::state {
     }
 
     [[nodiscard]] static std::size_t job_count(const flight& f) noexcept {
-        return f.degraded ||
-                       f.request.mode == service_mode::representative
-                   ? 1
-                   : f.request.sweep.block_sizes.size();
+        return f.request.mode == service_mode::exact
+                   ? f.request.sweep.block_sizes.size()
+                   : 1;
     }
 
     // One shard of an exact flight: the canonical sweep restricted to one
@@ -576,32 +601,31 @@ struct service::state {
         f.shard_results[shard] = std::move(result.passes);
     }
 
+    // The estimate and, with a positive budget, one exact sweep that
+    // calibrates it and is kept only as the fallback past the budget.
     void run_representative(flight& f) {
-        phase::representative_sweep_request rep;
-        rep.sweep = f.request.sweep;
-        rep.phase = f.request.phase;
-        rep.warmup_records = f.request.warmup_records;
-        // A degraded flight is shedding load: always the uncalibrated
-        // estimate, never a calibration run or an exact fallback.
-        rep.calibrate = !f.degraded && f.request.error_budget_pp > 0.0;
-        auto estimate =
-            std::make_shared<const phase::representative_sweep_result>(
-                phase::representative_sweep(f.trace->records, rep));
+        phase::representative_sweep_result estimate =
+            phase::representative_sweep(
+                f.trace->records, {f.request.sweep, f.request.phase,
+                                   f.request.warmup_records, false});
         cached_value value;
-        value.estimate = estimate;
         value.estimated = true;
-        value.max_abs_error_pp = estimate->max_abs_error_pp;
-        if (rep.calibrate &&
-            estimate->max_abs_error_pp > f.request.error_budget_pp) {
-            value.sweep = std::make_shared<const core::sweep_result>(
+        if (f.request.error_budget_pp > 0.0) {
+            auto exact = std::make_shared<const core::sweep_result>(
                 core::run_sweep(f.trace->records, f.request.sweep));
-            value.fell_back_exact = true;
-            ctrs->bump(&service_stats::exact_fallbacks);
-        } else if (f.degraded) {
-            ctrs->bump(&service_stats::degraded_served);
-        } else {
-            ctrs->bump(&service_stats::representative_served);
+            phase::calibrate(estimate, *exact);
+            if (estimate.max_abs_error_pp > f.request.error_budget_pp) {
+                value.sweep = std::move(exact);
+                value.fell_back_exact = true;
+            }
         }
+        ctrs->bump(value.fell_back_exact
+                       ? &service_stats::exact_fallbacks
+                       : &service_stats::representative_served);
+        value.max_abs_error_pp = estimate.max_abs_error_pp;
+        value.estimate =
+            std::make_shared<const phase::representative_sweep_result>(
+                std::move(estimate));
         const std::lock_guard<std::mutex> lock{f.mutex};
         f.value = std::move(value);
     }
@@ -619,7 +643,7 @@ struct service::state {
             ctrs->queue_wait_ns.record(waited);
             obs::recorder::instance().record(
                 "serve.queue_wait", j.enqueued_ns, waited,
-                f.obs_correlation, f.obs_fingerprint,
+                f.request.obs_correlation, f.key.request[0],
                 f.request.obs_trace_hi, f.request.obs_trace_lo);
         }
         sweep_deadlines(f);
@@ -632,18 +656,17 @@ struct service::state {
         }
         ctrs->bump(&service_stats::shard_jobs);
         try {
-            obs::span sp{"serve.shard", &ctrs->shard_ns, f.obs_correlation,
-                         f.obs_fingerprint};
+            obs::span sp{"serve.shard", &ctrs->shard_ns,
+                         f.request.obs_correlation, f.key.request[0]};
             sp.set_trace(f.request.obs_trace_hi, f.request.obs_trace_lo);
             if (options.fault_hook) {
                 options.fault_hook(
                     j.shard, f.attempt.load(std::memory_order_relaxed));
             }
-            if (f.degraded ||
-                f.request.mode == service_mode::representative) {
-                run_representative(f);
-            } else {
+            if (f.request.mode == service_mode::exact) {
                 run_exact_shard(f, j.shard);
+            } else {
+                run_representative(f);
             }
         } catch (...) {
             const std::lock_guard<std::mutex> lock{f.mutex};
@@ -708,24 +731,19 @@ struct service::state {
                 ctrs->bump(&service_stats::retries);
                 // Capped exponential backoff, slept on this worker: the
                 // cap bounds how long one transient fault can idle a
-                // worker thread (default 50 ms).
+                // worker thread.
                 std::chrono::nanoseconds delay = options.retry_backoff;
-                for (unsigned i = 0;
-                     i < attempt && delay < options.retry_backoff_cap;
+                for (unsigned i = 0; i < attempt && delay < retry_backoff_cap;
                      ++i) {
                     delay *= 2;
                 }
-                delay = std::min(delay, options.retry_backoff_cap);
-                if (delay.count() > 0) {
-                    std::this_thread::sleep_for(delay);
-                }
+                std::this_thread::sleep_for(std::min(delay, retry_backoff_cap));
                 const std::size_t jobs = job_count(*f);
                 {
                     const std::lock_guard<std::mutex> lock{f->mutex};
                     f->error = nullptr;
                     f->value = {};
-                    if (!f->degraded &&
-                        f->request.mode == service_mode::exact) {
+                    if (f->request.mode == service_mode::exact) {
                         f->shard_results.clear();
                         f->shard_results.resize(jobs);
                     }
@@ -741,13 +759,13 @@ struct service::state {
         // every live waiter — the tail latency a caller sees after the
         // last shard finished.
         obs::span settle_span{"serve.settle", &ctrs->settle_ns,
-                              f->obs_correlation, f->obs_fingerprint};
+                              f->request.obs_correlation, f->key.request[0]};
         settle_span.set_trace(f->request.obs_trace_hi,
                               f->request.obs_trace_lo);
         cached_value value;
         if (!error && !abandoned) {
             const std::lock_guard<std::mutex> lock{f->mutex};
-            if (f->request.mode == service_mode::exact && !f->degraded) {
+            if (f->request.mode == service_mode::exact) {
                 auto sweep = std::make_shared<core::sweep_result>();
                 sweep->requests = f->trace->records.size();
                 sweep->passes.reserve(
@@ -759,9 +777,8 @@ struct service::state {
                         sweep->passes.push_back(std::move(pass));
                     }
                 }
-                sweep->seconds = std::chrono::duration<double>(
-                                     clock::now() - f->start)
-                                     .count();
+                sweep->seconds =
+                    1e-9 * static_cast<double>(obs::now_ns() - f->admitted_ns);
                 f->value.sweep = std::move(sweep);
             }
             value = f->value; // shared payload; waiters and cache alias it
@@ -771,36 +788,28 @@ struct service::state {
             if (f->attempt.load(std::memory_order_relaxed) > 0) {
                 ctrs->bump(&service_stats::retry_successes);
             }
-            if (!f->degraded) {
-                cache.insert(f->key,
-                             std::make_shared<const cached_value>(value));
-            }
+            cache.insert(f->key, std::make_shared<const cached_value>(value));
         }
         unmap(f);
         // Settle the live waiters; the disposition ranks failure >
-        // degraded > coalesced.
-        const obs::event_disposition first =
-            error         ? obs::event_disposition::failed
-            : f->degraded ? obs::event_disposition::degraded
-                          : obs::event_disposition::computed;
-        const std::vector<taken> settled = take_live(
-            *f, first,
-            first == obs::event_disposition::computed
-                ? obs::event_disposition::coalesced
-                : first);
+        // degraded (per waiter, see take) > coalesced.
+        const std::vector<taken> settled =
+            error ? take_live(*f, obs::event_disposition::failed,
+                              obs::event_disposition::failed)
+                  : take_live(*f, obs::event_disposition::computed,
+                              obs::event_disposition::coalesced);
         settle_span.finish();
         // The whole-flight span: creation -> settled, the envelope the
         // queue/shard/settle spans decompose.
         if (f->start_ns != 0) {
             obs::recorder::instance().record(
                 "serve.flight", f->start_ns, obs::now_ns() - f->start_ns,
-                f->obs_correlation, f->obs_fingerprint,
+                f->request.obs_correlation, f->key.request[0],
                 f->request.obs_trace_hi, f->request.obs_trace_lo);
         }
         service_result answer;
         if (!error) {
             answer = to_result(value);
-            answer.degraded = f->degraded;
             answer.flight_retries = f->attempt.load(std::memory_order_relaxed);
         }
         deliver(settled, *events, *slo, error, answer);
@@ -813,7 +822,7 @@ struct service::state {
     void unmap(const std::shared_ptr<flight>& f) {
         const std::lock_guard<std::mutex> lock{flights_mutex};
         const auto it = flights.find(f->key);
-        if (!f->degraded && it != flights.end() && it->second == f) {
+        if (it != flights.end() && it->second == f) {
             flights.erase(it);
         }
     }
@@ -829,8 +838,7 @@ struct service::state {
     // Queue the flight's jobs under the backpressure policy.  Throws
     // service_overloaded (fail-fast, or a request wider than the whole
     // queue); the caller unwinds the flight.  overflow_policy::degrade
-    // blocks here like `block` — the load-shedding decision was already
-    // taken at submit time.
+    // blocks here like `block` — submit has already shed what it sheds.
     void enqueue(const std::shared_ptr<flight>& f, std::size_t jobs) {
         const std::uint64_t enqueued = obs::timestamp_if_enabled();
         std::unique_lock<std::mutex> lock{queue_mutex};
@@ -1053,7 +1061,7 @@ cancel_lever service::submit(std::string_view trace_name,
     // Admission time for the wide event, independent of the recorder's
     // on/off state (the event ring always runs).
     const std::uint64_t admitted_ns = obs::now_ns();
-    const service_request normal = canonical(request); // throws up front
+    service_request normal = canonical(request); // throws up front
     // Relative deadline -> absolute, pinned at submit time (before any
     // queueing): the deadline clock starts when the caller asked, not when
     // the service got around to it.
@@ -1079,14 +1087,17 @@ cancel_lever service::submit(std::string_view trace_name,
 
     // `normal` is already canonical; the plain fingerprint()/make_key path
     // would re-normalise (copy + sort + validate) on every submit.
-    const request_key key{entry->digest, fingerprint_canonical(normal)};
+    request_key key{entry->digest, fingerprint_canonical(normal)};
     submit_span.set_fingerprint(key.request[0]);
+    // Set once load shedding has replaced `normal` and `key` with the
+    // estimate-tier question; what follows then answers that question.
+    bool degraded = false;
     // Answered without touching a simulator or the queue, on this thread.
     const auto serve_cached = [&](const cached_value& cached) {
         service_result answer = to_result(cached);
         answer.cache_hit = true;
-        const std::vector<state::taken> hit{
-            s.cache_hit(normal, key, admitted_ns, std::move(done))};
+        const std::vector<state::taken> hit{s.cache_hit(
+            normal, key, admitted_ns, std::move(done), degraded)};
         submit_span.finish();
         state::deliver(hit, *s.events, *s.slo, nullptr, answer);
         return cancel_lever{};
@@ -1099,6 +1110,7 @@ cancel_lever service::submit(std::string_view trace_name,
         w.correlation = normal.obs_correlation;
         w.trace_hi = normal.obs_trace_hi;
         w.trace_lo = normal.obs_trace_lo;
+        w.degraded = degraded;
         target.earliest_deadline =
             std::min(target.earliest_deadline, deadline_at);
         ++target.live;
@@ -1109,67 +1121,57 @@ cancel_lever service::submit(std::string_view trace_name,
     }
 
     std::shared_ptr<flight> f;
-    bool degrade = false;
     {
         std::unique_lock<std::mutex> lock{s.flights_mutex};
-        const auto it = s.flights.find(key);
-        if (it != s.flights.end()) {
-            const std::shared_ptr<flight>& current = it->second;
-            const std::lock_guard<std::mutex> fl{current->mutex};
-            // An abandoned flight still in the map is a corpse: its jobs
-            // will be skipped and it cannot answer anyone.  Joining it
-            // would trade a computable answer for a guaranteed
-            // service_cancelled, so fall through and replace it instead.
-            if (!current->abandoned.load(std::memory_order_acquire)) {
-                // Identical question already in the air: one computation,
-                // one more waiter.
-                submit_span.finish();
-                s.ctrs->bump(&service_stats::coalesced);
-                return s.make_cancel(current, join(*current));
+        // Coalesce or probe again; shed at most once, then retry both
+        // under the estimate-tier question's key.
+        for (;;) {
+            const auto it = s.flights.find(key);
+            if (it != s.flights.end()) {
+                const std::shared_ptr<flight>& current = it->second;
+                const std::lock_guard<std::mutex> fl{current->mutex};
+                // An abandoned flight still in the map is a corpse that
+                // can answer no one: replace it rather than join it.
+                if (!current->abandoned.load(std::memory_order_acquire)) {
+                    submit_span.finish();
+                    s.ctrs->bump(&service_stats::coalesced);
+                    return s.make_cancel(current, join(*current));
+                }
             }
-        }
-        // The flight may have finished between the cache probe above and
-        // this map lookup.  finish() caches *before* unmapping, so an
-        // absent flight whose answer exists is always visible to this
-        // second probe — without it, a duplicate landing in that window
-        // would restart an already-answered computation.  (finish() never
-        // holds a cache shard lock while taking flights_mutex, so probing
-        // the cache here cannot deadlock.)  A hit is answered unlocked:
-        // completions never run under a service lock.
-        if (const auto cached = s.probe_cache(key, normal)) {
-            lock.unlock();
-            return serve_cached(*cached);
-        }
-        // Load shedding: past the high-watermark an exact request gets the
-        // estimate tier, one job, no cache entry — but only after the
-        // cache and coalesce probes above failed, because a hit on either
-        // is strictly better than degrading and costs no queue slot.
-        if (s.options.overflow == overflow_policy::degrade &&
-            normal.mode == service_mode::exact) {
-            const std::lock_guard<std::mutex> qlock{s.queue_mutex};
-            degrade = s.queue.size() >= s.degrade_watermark();
+            // finish() caches *before* unmapping, so a flight that finished
+            // since the probe above is a hit here, not a recomputation.
+            // (finish() never holds a cache shard lock while taking
+            // flights_mutex: no deadlock.)  A hit is answered unlocked:
+            // completions never run under a service lock.
+            if (const auto cached = s.probe_cache(key, normal)) {
+                lock.unlock();
+                return serve_cached(*cached);
+            }
+            // Shed only once both probes missed: a hit on either beats
+            // degrading and costs no queue slot.
+            if (degraded || !s.sheds(normal)) {
+                break;
+            }
+            normal = estimate_question(normal);
+            key = {entry->digest, fingerprint_canonical(normal)};
+            submit_span.set_fingerprint(key.request[0]);
+            degraded = true;
         }
         f = std::make_shared<flight>();
         f->request = normal;
         f->key = key;
         f->trace = entry;
-        f->start = clock::now();
-        f->degraded = degrade;
-        f->obs_correlation = normal.obs_correlation;
-        f->obs_fingerprint = key.request[0];
         f->start_ns = obs::timestamp_if_enabled();
         f->admitted_ns = admitted_ns;
         (void)join(*f);
         const std::size_t jobs = state::job_count(*f);
         f->remaining.store(jobs, std::memory_order_relaxed);
-        if (normal.mode == service_mode::exact && !degrade) {
+        if (normal.mode == service_mode::exact) {
             f->shard_results.resize(jobs);
         }
-        if (!degrade) {
-            // insert_or_assign, not emplace: the slot may hold the
-            // abandoned corpse detected above.
-            s.flights.insert_or_assign(key, f);
-        }
+        // insert_or_assign, not emplace: the slot may hold the abandoned
+        // corpse detected above.
+        s.flights.insert_or_assign(key, f);
         // Registered from drain()'s point of view before any job is
         // queued, so a drain racing a blocking enqueue waits for this
         // flight even while its later shards are still being pushed.

@@ -1,67 +1,49 @@
 // serve::service — an in-process, multi-tenant sweep query engine over the
-// exact engines.
+// exact engines, for design-space-exploration workloads: thousands of sweep
+// requests against a shared trace corpus, most of them duplicates of
+// questions already answered.  docs/API.md §5 is the full contract.
 //
-// The service turns the session pipeline into something that can absorb a
-// design-space-exploration workload: thousands of sweep requests against a
-// shared trace corpus, most of them duplicates or near-duplicates of
-// questions already answered.  Four mechanisms carry the load:
+//   * Content addressing.  Traces are identified by a streaming 128-bit
+//     digest (trace/digest.hpp), requests by the fingerprint of their
+//     canonical form (serve/key.hpp): the same question about the same
+//     records is the same entry however it was spelled.
+//   * Result cache.  A sharded FIFO-bounded map (serve/cache.hpp);
+//     save_cache / load_cache persist it with per-entry and whole-file
+//     checksums and a salvage mode for crash-truncated files.
+//   * Scheduler.  submit() is async and never simulates on the calling
+//     thread.  Identical in-flight requests coalesce: N callers, one
+//     computation.  Jobs interleave on a fixed worker pool above a bounded
+//     queue (overflow_policy: block, fail fast with service_overloaded, or
+//     shed to the estimate tier past a high-watermark).
+//   * Tiers: two kinds of flight.  service_mode::exact runs one shard job
+//     per distinct block size, each a run_sweep over the canonical sweep
+//     narrowed to that block size, and concatenates their passes: the
+//     answer is run_sweep(trace, canonical(request).sweep) bit for bit,
+//     and nothing derived from a trace outlives a job.
+//     service_mode::representative is one job: the phase estimate
+//     (src/phase/) and, with a positive error budget, one exact sweep that
+//     calibrates it and, past the budget, is served as the fallback.
+//   * Load shedding.  Under overflow_policy::degrade, submit() rewrites an
+//     exact request that missed the cache and the in-flight map into its
+//     estimate-tier question (the uncalibrated estimate at default phase
+//     knobs and warm-up) and runs that through the same probe -> coalesce
+//     -> create path under its own key.  Only the waiter is marked
+//     degraded, so no exact waiter is ever handed an estimate.
 //
-//   * Content addressing.  Traces are registered once and identified by a
-//     streaming 128-bit digest (trace/digest.hpp); requests are normalised
-//     and fingerprinted (serve/key.hpp).  Identity is semantic: the same
-//     question about the same records addresses the same entry no matter
-//     how the trace was produced or how the grids were spelled.
-//   * Result cache.  A sharded FIFO-bounded map (serve/cache.hpp) answers
-//     repeated questions without touching a simulator; save_cache /
-//     load_cache persist exact entries through dew::result_io — now with
-//     per-entry and whole-file checksums and a salvage mode that recovers
-//     the verified prefix of a crash-truncated file.
-//   * Scheduler.  submit() is async (returns a submission handle wrapping a
-//     std::future) and never simulates on the calling thread.  Identical
-//     in-flight requests coalesce into one computation — N callers, one
-//     simulation, N futures.  An exact request's grid is split into one
-//     shard job per distinct block size; shard jobs of all requests
-//     interleave on a fixed worker pool above a bounded queue
-//     (overflow_policy: callers block, fail fast with service_overloaded,
-//     or degrade to the estimate tier past a high-watermark).  A shard job
-//     is one run_sweep over the canonical sweep narrowed to its block
-//     size: the session decodes the resident records chunk by chunk, so a
-//     shard holds one chunk's block numbers and nothing outlives the job.
-//     Beyond the records themselves (16 B/record), nothing derived from
-//     a trace is retained.
-//   * Tiers.  service_mode::exact runs the engine the request names (dew |
-//     cipar) and is bit-identical to run_sweep(trace, canonical(request))
-//     because each shard calls run_sweep and the service only concatenates
-//     the shards' passes in block order.  service_mode::representative
-//     serves phase-analysis estimates (src/phase/): with a positive error
-//     budget the estimate is calibrated and the service falls back to the
-//     exact result when the measured error exceeds the budget, so a served
-//     estimate always carries a true accuracy statement.
+// Failure semantics:
 //
-// Failure semantics (the robustness layer):
-//
-//   * Deadlines.  service_request::deadline (> 0) bounds how long a
-//     submission's answer is useful.  Deadlines are enforced at scheduling
-//     points — when a flight's job is picked up and when a flight
-//     completes — not preemptively: a waiter past its deadline gets
-//     service_timeout through its future, and a flight none of whose
-//     waiters are still live is *abandoned*: its queued jobs are skipped
-//     (never started), its running jobs finish and are discarded, and its
-//     result is never cached.  Coalesced waiters on a still-live flight
-//     are unaffected by their neighbours' deadlines.
-//   * Cancellation.  submission::cancel() withdraws one waiter: its future
-//     fails with service_cancelled, and a flight with no live waiters left
-//     is abandoned exactly as above.
-//   * Fault taxonomy + retry.  A failing flight's fault is classified
-//     (classify_fault): trace::io_fault, service_overloaded and system/IO
-//     stream failures are *transient*; invalid arguments, contract
-//     violations and everything unrecognised are *permanent*.  Transient
-//     flights retry in place up to service_options::max_retries times with
-//     capped exponential backoff; permanent faults fail every waiter
-//     immediately.  Neither kind of failed flight is ever cached.
-//   * Fault injection.  service_options::fault_hook, if set, runs at the
-//     start of every shard-job execution and may throw — the deterministic
-//     seam the fault tests and the retry benchmarks drive.
+//   * Deadlines (service_request::deadline) are enforced at job pickup and
+//     flight completion: a late waiter gets service_timeout, and a flight
+//     with no live waiters is *abandoned* — queued jobs are skipped,
+//     running ones discarded, nothing cached.
+//   * submission::cancel() withdraws one waiter (service_cancelled); the
+//     last one out abandons the flight as above.
+//   * classify_fault sorts a failing flight's fault: *transient* flights
+//     retry up to service_options::max_retries times with exponential
+//     backoff capped at retry_backoff_cap; *permanent* ones fail every
+//     waiter at once.  No failed flight is ever cached.
+//   * service_options::fault_hook, if set, runs at the start of every job
+//     and may throw: the seam the fault tests and benchmarks drive.
 //
 // Threading: every public method is safe to call from any thread.  Results
 // are immutable and shared; stats() is a relaxed snapshot.
@@ -112,11 +94,11 @@ public:
 enum class overflow_policy : std::uint8_t {
     block = 0,     // submit() waits for queue space (default)
     fail_fast = 1, // submit() throws service_overloaded
-    // Graceful degradation: once the queue is at/above the high-watermark
-    // (service_options::degrade_watermark), exact-mode requests are served
-    // by the representative tier instead — an uncalibrated estimate,
-    // flagged `degraded` in the result, never cached and never coalesced
-    // with exact flights.  Below the watermark behaves like `block`.
+    // Graceful degradation: an exact request that misses the cache and the
+    // in-flight map while the queue is at/above degrade_watermark is
+    // answered by its estimate-tier question (the uncalibrated estimate at
+    // default phase knobs and warm-up), flagged `degraded` and cached
+    // under the estimate key only.  Below the watermark behaves like block.
     degrade = 2,
 };
 
@@ -134,12 +116,21 @@ enum class fault_class : std::uint8_t {
 [[nodiscard]] fault_class
 classify_fault(const std::exception_ptr& error) noexcept;
 
+// Upper bound of one transient-fault retry's backoff sleep: it bounds how
+// long one fault can idle a worker thread.
+inline constexpr std::chrono::nanoseconds retry_backoff_cap =
+    std::chrono::milliseconds{50};
+
+// Wide per-request event ring size: one obs::request_event per settled
+// request, oldest dropped past this bound.
+inline constexpr std::size_t event_ring_capacity = 1024;
+
 struct service_options {
     // Worker threads executing jobs; >= 1.
     unsigned workers{2};
     // Bounded job queue: the backpressure surface.  A request needs one
     // queue slot per distinct block size (exact) or one slot
-    // (representative / degraded).  Must be >= 1.
+    // (representative).  Must be >= 1.
     std::size_t queue_capacity{256};
     overflow_policy overflow{overflow_policy::block};
     cache_options cache{};
@@ -150,7 +141,6 @@ struct service_options {
     // a full queue cannot deadlock a retry).
     unsigned max_retries{2};
     std::chrono::nanoseconds retry_backoff{std::chrono::milliseconds{1}};
-    std::chrono::nanoseconds retry_backoff_cap{std::chrono::milliseconds{50}};
     // overflow_policy::degrade only: queue length at/above which exact
     // requests degrade.  0 = half the queue capacity (at least 1).
     std::size_t degrade_watermark{0};
@@ -164,9 +154,6 @@ struct service_options {
     // This server's stable identity in wide events and aggregated scrapes
     // (0 = unnamed / single-process).  Pure telemetry.
     std::uint64_t node_id{0};
-    // Wide per-request event ring: one obs::request_event per settled
-    // request, oldest dropped past this bound.
-    std::size_t event_ring_capacity{1024};
     // Rolling SLO over settled-request total latency: a settle slower than
     // slo_target burns error budget; the window is the horizon the
     // serve.slo.window_* gauges summarise.
@@ -185,9 +172,9 @@ struct service_result {
     bool coalesced{false};  // joined another caller's in-flight computation
     bool estimated{false};  // served by the representative tier
     bool fell_back_exact{false}; // estimate exceeded the budget; sweep served
-    // overflow_policy::degrade served this exact request from the estimate
-    // tier.  A degraded answer is never cached: the caller asked an exact
-    // question and must be able to ask it again under less load.
+    // overflow_policy::degrade answered this exact request with its
+    // estimate-tier question.  The answer is cached under the estimate key
+    // only: the exact question, asked again under less load, is computed.
     bool degraded{false};
     // Transient-fault retries this flight needed before succeeding.
     unsigned flight_retries{0};
@@ -204,8 +191,9 @@ struct service_stats {
     std::uint64_t stream_builds{0}; // block-size decodes shard jobs ran
     std::uint64_t stream_reuses{0}; // always 0: no decode is shared
     std::uint64_t rejected{0};      // fail-fast overflow rejections
-    std::uint64_t representative_served{0};
-    std::uint64_t exact_fallbacks{0};
+    std::uint64_t representative_served{0}; // estimate-tier computations
+                                            // served as estimates
+    std::uint64_t exact_fallbacks{0}; // estimates that fell back to exact
     std::uint64_t cache_evictions{0};
     std::uint64_t timeouts{0};      // waiters settled with service_timeout
     std::uint64_t cancellations{0}; // waiters settled via cancel()
@@ -213,7 +201,7 @@ struct service_stats {
     std::uint64_t retry_successes{0}; // flights that recovered via retry
     std::uint64_t transient_faults{0}; // flight faults classified transient
     std::uint64_t permanent_faults{0}; // flight faults classified permanent
-    std::uint64_t degraded_served{0};  // exact requests answered degraded
+    std::uint64_t degraded_served{0};  // degraded answers handed out
     std::uint64_t expired_flights{0};  // flights abandoned (no live waiters)
 
     // Gauges — instantaneous levels at the stats() call, not monotone
@@ -389,7 +377,7 @@ public:
     [[nodiscard]] service_stats stats() const;
 
     // Oldest-first snapshot of the wide per-request event ring: one record
-    // per settled request, capacity service_options::event_ring_capacity.
+    // per settled request, capacity event_ring_capacity.
     // What the get_events wire pair ships and events_jsonl renders.
     [[nodiscard]] std::vector<obs::request_event> events() const;
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "dew/sweep.hpp"
 #include "phase/representative_sweep.hpp"
@@ -82,6 +83,54 @@ TEST(RepresentativeSweep, ExactFieldsMatchAnIndependentExactSweep) {
     for (const config_estimate& estimate : result.configs) {
         EXPECT_EQ(estimate.exact_misses, exact.misses_of(estimate.config))
             << cache::to_string(estimate.config);
+    }
+}
+
+TEST(RepresentativeSweep, SplitCalibrationReproducesTheCalibratedSweep) {
+    // The estimate, then calibrate() against a separately run exact sweep:
+    // every field but the timings equals the one-call calibrated result.
+    const trace::mem_trace trace = trace::make_mediabench_trace(
+        trace::mediabench_app::djpeg, grid_trace_records);
+    const representative_sweep_request request = grid_request();
+    const representative_sweep_result whole =
+        representative_sweep(trace, request);
+
+    representative_sweep_request uncalibrated = request;
+    uncalibrated.calibrate = false;
+    representative_sweep_result split =
+        representative_sweep(trace, uncalibrated);
+    EXPECT_FALSE(split.calibrated);
+    const core::sweep_result exact = core::run_sweep(trace, request.sweep);
+    calibrate(split, exact);
+
+    EXPECT_TRUE(split.calibrated);
+    EXPECT_EQ(split.calibration_seconds, exact.seconds);
+    EXPECT_EQ(split.total_records, whole.total_records);
+    EXPECT_EQ(split.simulated_records, whole.simulated_records);
+    EXPECT_EQ(split.max_abs_error_pp, whole.max_abs_error_pp);
+    EXPECT_GT(split.max_abs_error_pp, 0.0); // the comparison is not vacuous
+    ASSERT_EQ(split.phases.plan.phases.size(),
+              whole.phases.plan.phases.size());
+    for (std::size_t p = 0; p < whole.phases.plan.phases.size(); ++p) {
+        const phase_info& a = split.phases.plan.phases[p];
+        const phase_info& b = whole.phases.plan.phases[p];
+        EXPECT_EQ(a.representative, b.representative);
+        EXPECT_EQ(a.records, b.records);
+        EXPECT_EQ(a.weight, b.weight);
+    }
+    ASSERT_EQ(split.configs.size(), whole.configs.size());
+    for (std::size_t c = 0; c < whole.configs.size(); ++c) {
+        const config_estimate& a = split.configs[c];
+        const config_estimate& b = whole.configs[c];
+        const std::string name = cache::to_string(b.config);
+        EXPECT_EQ(a.config.set_count, b.config.set_count) << name;
+        EXPECT_EQ(a.config.associativity, b.config.associativity) << name;
+        EXPECT_EQ(a.config.block_size, b.config.block_size) << name;
+        EXPECT_EQ(a.estimated_misses, b.estimated_misses) << name;
+        EXPECT_EQ(a.estimated_miss_rate, b.estimated_miss_rate) << name;
+        EXPECT_EQ(a.exact_misses, b.exact_misses) << name;
+        EXPECT_EQ(a.exact_miss_rate, b.exact_miss_rate) << name;
+        EXPECT_EQ(a.abs_error_pp, b.abs_error_pp) << name;
     }
 }
 

@@ -1,19 +1,23 @@
 // The sweep service's failure semantics: deadlines and cancellation settle
 // exactly the right waiters and skip abandoned work, transient faults
 // retry with bounded attempts while permanent faults fail immediately,
-// degraded answers shed load without poisoning the cache, and the
-// accounting balances through every storm.
+// shed requests are answered by their estimate-tier question without
+// touching the exact key, and the accounting balances through every storm.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
 #include <vector>
 
 #include "dew/sweep.hpp"
+#include "phase/representative_sweep.hpp"
 #include "serve/service.hpp"
 #include "trace/fault.hpp"
 #include "trace/mediabench.hpp"
@@ -45,7 +49,6 @@ service_options robust_options() {
     options.queue_capacity = 64;
     options.cache = {4, 64};
     options.retry_backoff = std::chrono::nanoseconds{0}; // fast tests
-    options.retry_backoff_cap = std::chrono::nanoseconds{0};
     return options;
 }
 
@@ -311,8 +314,32 @@ TEST(ServiceFault, DegradePolicyShedsExactLoadPastTheWatermark) {
     EXPECT_FALSE(shed_answer.estimate->calibrated); // the cheap tier
     EXPECT_EQ(svc.stats().degraded_served, 1u);
 
-    // A degraded answer is never cached: under no load the same exact
-    // question is computed exactly.
+    // The estimate-tier question at the default knobs, warm-up included:
+    // bit for bit the direct uncalibrated representative sweep.
+    const phase::representative_sweep_result direct =
+        phase::representative_sweep(
+            workload(), {canonical(exact_request(7)).sweep,
+                         phase::phase_options{}, 2048, false});
+    const phase::representative_sweep_result& got = *shed_answer.estimate;
+    EXPECT_EQ(got.total_records, direct.total_records);
+    EXPECT_EQ(got.simulated_records, direct.simulated_records);
+    EXPECT_EQ(got.phases.plan.phases.size(), direct.phases.plan.phases.size());
+    ASSERT_EQ(got.configs.size(), direct.configs.size());
+    for (std::size_t c = 0; c < direct.configs.size(); ++c) {
+        EXPECT_EQ(got.configs[c].config.set_count,
+                  direct.configs[c].config.set_count);
+        EXPECT_EQ(got.configs[c].config.associativity,
+                  direct.configs[c].config.associativity);
+        EXPECT_EQ(got.configs[c].config.block_size,
+                  direct.configs[c].config.block_size);
+        EXPECT_EQ(got.configs[c].estimated_misses,
+                  direct.configs[c].estimated_misses);
+        EXPECT_EQ(got.configs[c].estimated_miss_rate,
+                  direct.configs[c].estimated_miss_rate);
+    }
+
+    // The exact key stays uncached: under no load the same exact question
+    // is computed exactly.
     svc.drain();
     const service_result again = svc.submit("cjpeg", exact_request(7)).get();
     EXPECT_FALSE(again.degraded);
@@ -321,6 +348,78 @@ TEST(ServiceFault, DegradePolicyShedsExactLoadPastTheWatermark) {
     expect_identical(*again.sweep,
                      core::run_sweep(workload(),
                                      canonical(exact_request(7)).sweep));
+}
+
+TEST(ServiceFault, DegradedDuplicatesCoalesce) {
+    service_options options = robust_options();
+    options.workers = 1;
+    options.queue_capacity = 8;
+    options.overflow = overflow_policy::degrade;
+    options.degrade_watermark = 1;
+    service svc{options};
+    svc.add_trace("cjpeg", workload());
+
+    constexpr std::size_t duplicates = 6;
+    svc.pause();
+    // Two shard jobs sit queued; every duplicate behind them is shed.
+    submission queued = svc.submit("cjpeg", exact_request(6));
+    std::vector<submission> shed;
+    for (std::size_t i = 0; i < duplicates; ++i) {
+        shed.push_back(svc.submit("cjpeg", exact_request(7)));
+    }
+    svc.resume();
+
+    EXPECT_FALSE(queued.get().degraded);
+    std::shared_ptr<const phase::representative_sweep_result> estimate;
+    for (submission& handle : shed) {
+        const service_result answer = handle.get();
+        EXPECT_TRUE(answer.degraded);
+        EXPECT_EQ(answer.sweep, nullptr);
+        ASSERT_NE(answer.estimate, nullptr);
+        if (!estimate) {
+            estimate = answer.estimate;
+        }
+        EXPECT_EQ(answer.estimate.get(), estimate.get()); // one payload
+    }
+    svc.drain();
+    service_stats stats = svc.stats();
+    EXPECT_EQ(stats.computations, 2u);
+    EXPECT_EQ(stats.coalesced, duplicates - 1);
+    EXPECT_EQ(stats.degraded_served, duplicates);
+    EXPECT_EQ(stats.representative_served, 1u);
+
+    // Every shed waiter's wide event says `degraded` and carries the key
+    // of the estimate-tier question, not of the exact one.
+    service_request question = exact_request(7);
+    question.mode = service_mode::representative;
+    question.error_budget_pp = 0.0;
+    const std::array<std::uint64_t, 2> estimate_key = fingerprint(question);
+    const std::vector<obs::request_event> events = svc.events();
+    const auto degraded_events = std::count_if(
+        events.begin(), events.end(), [&](const obs::request_event& e) {
+            return e.disposition == obs::event_disposition::degraded &&
+                   e.tier == 1 && e.key_hi == estimate_key[0] &&
+                   e.key_lo == estimate_key[1];
+        });
+    EXPECT_EQ(static_cast<std::size_t>(degraded_events), duplicates);
+
+    // The shed answer is cached under the estimate key: asking that
+    // question outright is a (non-degraded) hit on the same payload.
+    const service_result asked = svc.submit("cjpeg", question).get();
+    EXPECT_TRUE(asked.cache_hit);
+    EXPECT_FALSE(asked.degraded);
+    EXPECT_EQ(asked.estimate.get(), estimate.get());
+
+    // The exact key is still uncached: without load, the exact question
+    // is computed.
+    const service_result again = svc.submit("cjpeg", exact_request(7)).get();
+    EXPECT_FALSE(again.cache_hit);
+    EXPECT_FALSE(again.degraded);
+    ASSERT_NE(again.sweep, nullptr);
+    stats = svc.stats();
+    EXPECT_EQ(stats.computations, 3u);
+    EXPECT_EQ(stats.degraded_served, duplicates);
+    EXPECT_EQ(stats.completed, stats.submitted);
 }
 
 TEST(ServiceFault, ConcurrentFaultStormKeepsEveryAnswerExact) {

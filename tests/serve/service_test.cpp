@@ -271,6 +271,57 @@ TEST(Service, RepresentativeTierReportsErrorOrFallsBack) {
     EXPECT_TRUE(svc.submit("cjpeg", request).get().cache_hit);
 }
 
+service_request representative_request(double error_budget_pp) {
+    service_request request = exact_request();
+    request.mode = service_mode::representative;
+    request.phase.interval_records = 2048;
+    request.warmup_records = 4096;
+    request.error_budget_pp = error_budget_pp;
+    return request;
+}
+
+TEST(Service, RepresentativeTierFallsBackPastATinyBudget) {
+    service svc{};
+    svc.add_trace("cjpeg", workload());
+
+    const service_request request = representative_request(1e-9);
+    const service_result answer = svc.submit("cjpeg", request).get();
+    ASSERT_NE(answer.estimate, nullptr);
+    EXPECT_TRUE(answer.estimate->calibrated);
+    EXPECT_GT(answer.max_abs_error_pp, request.error_budget_pp);
+    ASSERT_TRUE(answer.fell_back_exact);
+    ASSERT_NE(answer.sweep, nullptr);
+    expect_identical(*answer.sweep,
+                     core::run_sweep(workload(), canonical(request).sweep));
+    // The served sweep is the one that calibrated the estimate.
+    EXPECT_EQ(answer.estimate->calibration_seconds, answer.sweep->seconds);
+    const service_stats stats = svc.stats();
+    EXPECT_EQ(stats.exact_fallbacks, 1u);
+    EXPECT_EQ(stats.representative_served, 0u);
+    EXPECT_EQ(stats.shard_jobs, 1u);
+}
+
+TEST(Service, RepresentativeTierNeverFallsBackUnderAHugeBudget) {
+    service svc{};
+    svc.add_trace("cjpeg", workload());
+
+    const service_request request = representative_request(1e9);
+    const service_result answer = svc.submit("cjpeg", request).get();
+    ASSERT_NE(answer.estimate, nullptr);
+    EXPECT_TRUE(answer.estimate->calibrated);
+    EXPECT_GT(answer.estimate->calibration_seconds, 0.0);
+    EXPECT_LE(answer.max_abs_error_pp, request.error_budget_pp);
+    EXPECT_FALSE(answer.fell_back_exact);
+    // Within budget the calibration's exact sweep is not kept.
+    EXPECT_EQ(answer.sweep, nullptr);
+    const service_result hit = svc.submit("cjpeg", request).get();
+    EXPECT_TRUE(hit.cache_hit);
+    EXPECT_EQ(hit.sweep, nullptr);
+    const service_stats stats = svc.stats();
+    EXPECT_EQ(stats.exact_fallbacks, 0u);
+    EXPECT_EQ(stats.representative_served, 1u);
+}
+
 TEST(Service, FailFastBackpressureThrowsServiceOverloaded) {
     // One worker, one queue slot, workers held: the first submit takes the
     // slot, the second must be rejected without breaking the first.

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "obs/recorder.hpp"
+#include "obs/registry.hpp"
 #include "trace/fault.hpp"
 #include "trace/mediabench.hpp"
 
@@ -124,6 +126,19 @@ latency_ms probe_latency(const Submit& submit,
     return {ms[probes / 2], ms[probes * 95 / 100], ms[probes * 99 / 100]};
 }
 
+// serve.cache.column_hits and column_misses summed over the live services.
+std::pair<std::uint64_t, std::uint64_t> column_counts() {
+    std::pair<std::uint64_t, std::uint64_t> counts{0, 0};
+    for (const obs::metric& m : obs::registry::instance().snapshot()) {
+        if (m.name == "serve.cache.column_hits") {
+            counts.first = m.value;
+        } else if (m.name == "serve.cache.column_misses") {
+            counts.second = m.value;
+        }
+    }
+    return counts;
+}
+
 // Every answer `submit` gives equals the direct sweep of its request.
 template <class Submit>
 void check_exact(const Submit& submit,
@@ -166,11 +181,21 @@ serving_measurement measure_serving() {
         check_exact(in_process(*service), requests, direct);
     }
     const auto storm = fresh_service();
+    const auto [hits_before, misses_before] = column_counts();
     m.storm = run_phase(*storm, in_process(*storm), requests, duplicates,
                         /*gate=*/true);
     m.replay = run_phase(*storm, in_process(*storm), requests, duplicates,
                          /*gate=*/false);
     m.storm_stats = storm->stats();
+    {
+        // The storm service is the only one alive: the deltas are its own.
+        const auto [hits, misses] = column_counts();
+        const std::uint64_t found = hits - hits_before;
+        const std::uint64_t looked = found + misses - misses_before;
+        m.shard_hit_rate = looked == 0 ? 0.0
+                                       : static_cast<double>(found) /
+                                             static_cast<double>(looked);
+    }
     m.serve_latency = probe_latency(in_process(*storm), requests);
     {
         std::vector<serve::service_request> with_deadline = requests;

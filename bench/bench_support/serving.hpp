@@ -73,6 +73,9 @@ struct serving_measurement {
     phase_numbers net_storm;
     phase_numbers net_replay;
     serve::service_stats storm_stats; // the storm + replay service's totals
+    // The same service's serve.cache.column_hits / (hits + misses): the
+    // share of exact columns its non-coalesced submits found cached.
+    double shard_hit_rate{0.0};
     latency_ms serve_latency; // sequential warm in-process submit -> get
     latency_ms net_latency;   // the same over loopback
     // Storm + replay slowdown with recording on vs runtime-off, in percent:

@@ -15,6 +15,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -528,6 +529,60 @@ double measure_paper_sweep_ms(const trace::mem_trace& trace) {
     return best * 1e3;
 }
 
+// The DEW walk priced by stage on the micro trace at (L 14, A 4, B 32):
+// stage 1 (core::mra_stage, shared by every pass of a block size) and
+// stage 2 (basic_dew_pass<fast>, one per pass), each in ns per trace
+// access, and the whole fast pass in ns per node the counted pass
+// evaluates.  Best of json_repetitions, the decode and the allocations
+// outside the timed spans; the counted pass must agree with the fast one
+// on every miss count first.
+struct dew_walk_cost {
+    double stage1_ns_per_access{0.0};
+    double stage2_ns_per_access{0.0};
+    double ns_per_node{0.0};
+};
+
+dew_walk_cost measure_dew_walk(const trace::mem_trace& trace) {
+    const std::vector<std::uint64_t> blocks = trace::block_numbers(
+        trace, static_cast<unsigned>(std::countr_zero(json_block)));
+    const bool mra_stop = core::dew_options{}.use_mra_stop;
+    core::mra_walk_buffer buffer;
+    std::vector<std::uint64_t> stream;
+
+    stream = blocks;
+    core::mra_stage counted_stage{json_max_level, mra_stop};
+    core::basic_dew_pass<core::full_counters> counted{
+        json_max_level, json_assoc, json_block};
+    counted.walk(counted_stage.run(stream, buffer));
+    const core::dew_result want = counted.result();
+
+    double stage1 = 1e300;
+    double stage2 = 1e300;
+    for (int rep = 0; rep < json_repetitions; ++rep) {
+        stream = blocks;
+        core::mra_stage stage{json_max_level, mra_stop};
+        core::basic_dew_pass<core::fast> pass{json_max_level, json_assoc,
+                                              json_block};
+        const auto t0 = std::chrono::steady_clock::now();
+        const core::mra_walks walks = stage.run(stream, buffer);
+        const auto t1 = std::chrono::steady_clock::now();
+        pass.walk(walks);
+        const auto t2 = std::chrono::steady_clock::now();
+        stage1 = std::min(stage1, std::chrono::duration<double>(t1 - t0).count());
+        stage2 = std::min(stage2, std::chrono::duration<double>(t2 - t1).count());
+        const core::dew_result got = pass.result();
+        for (unsigned level = 0; level <= json_max_level; ++level) {
+            DEW_ASSERT(got.misses(level, json_assoc) ==
+                       want.misses(level, json_assoc));
+            DEW_ASSERT(got.misses(level, 1) == want.misses(level, 1));
+        }
+    }
+    const double accesses = static_cast<double>(trace.size());
+    return {stage1 * 1e9 / accesses, stage2 * 1e9 / accesses,
+            (stage1 + stage2) * 1e9 /
+                static_cast<double>(counted.counters().node_evaluations)};
+}
+
 void write_micro_json() {
     const trace::mem_trace& trace = bench_trace();
 
@@ -584,6 +639,7 @@ void write_micro_json() {
         static_cast<double>(serving.storm.requests + serving.replay.requests) /
         (serving.storm.seconds + serving.replay.seconds);
     const double paper_sweep_ms = measure_paper_sweep_ms(trace);
+    const dew_walk_cost walk = measure_dew_walk(trace);
 
     std::FILE* out = std::fopen("BENCH_micro.json", "w");
     if (out == nullptr) {
@@ -695,7 +751,14 @@ void write_micro_json() {
     std::fprintf(out, "  \"host_cores\": %u,\n",
                  std::thread::hardware_concurrency());
     std::fprintf(out, "  \"build_type\": \"%s\",\n", DEW_BUILD_TYPE);
-    std::fprintf(out, "  \"paper_sweep_ms\": %.1f\n", paper_sweep_ms);
+    std::fprintf(out, "  \"paper_sweep_ms\": %.1f,\n", paper_sweep_ms);
+    std::fprintf(out, "  \"serve_shard_hit_rate\": %.4f,\n",
+                 serving.shard_hit_rate);
+    std::fprintf(out, "  \"dew_stage1_ns_per_access\": %.3f,\n",
+                 walk.stage1_ns_per_access);
+    std::fprintf(out, "  \"dew_stage2_ns_per_access\": %.3f,\n",
+                 walk.stage2_ns_per_access);
+    std::fprintf(out, "  \"dew_ns_per_node\": %.3f\n", walk.ns_per_node);
     std::fprintf(out, "}\n");
     std::fclose(out);
 
@@ -730,6 +793,11 @@ void write_micro_json() {
                 serving.obs_overhead_spread_pct);
     std::printf("paper grid (525 configurations, serial): %.1f ms\n",
                 paper_sweep_ms);
+    std::printf("dew walk (L %u, A %u, B %u): stage 1 %.2f ns/access, stage "
+                "2 %.2f ns/access, %.3f ns per node\n",
+                json_max_level, json_assoc, json_block,
+                walk.stage1_ns_per_access, walk.stage2_ns_per_access,
+                walk.ns_per_node);
     std::printf("sweep memory: eager %.1f B/ref vs streaming %.2f B/ref "
                 "(x%.0f smaller), throughput %.2fM vs %.2fM acc/s\n\n",
                 sweeps.eager.peak_bytes_per_ref,

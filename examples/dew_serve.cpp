@@ -349,11 +349,11 @@ int warm_cache(serve::service& service, const std::string& load_path) {
     }
     const serve::cache_load_report report =
         service.load_cache(in, serve::load_mode::salvage);
-    std::printf("cache    warmed with %zu entries from %s\n", report.loaded,
+    std::printf("cache    warmed with %zu columns from %s\n", report.loaded,
                 load_path.c_str());
     if (report.salvaged) {
         std::fprintf(stderr,
-                     "dew_serve: %s was damaged: salvaged %zu entries, "
+                     "dew_serve: %s was damaged: salvaged %zu columns, "
                      "skipped %zu (first fault at byte %zu)\n",
                      load_path.c_str(), report.loaded, report.skipped,
                      report.salvaged_at);
@@ -828,7 +828,7 @@ int main(int argc, char** argv) {
             const serve::cache_load_report report =
                 client_storage->load_cache(serve::load_mode::salvage,
                                            image.str());
-            std::printf("cache    warmed remote with %zu entries from %s\n",
+            std::printf("cache    warmed remote with %zu columns from %s\n",
                         report.loaded, load_path.c_str());
         }
     }

@@ -1,5 +1,6 @@
 #include "serve/cache.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -18,22 +19,30 @@
 
 namespace dew::serve {
 
-// Cache file layout, version 2 (all integers little-endian):
+// Cache file layout, version 3 (all integers little-endian):
 //   magic   4 bytes  "DSCF"
-//   version u32      currently 2
+//   version u32      currently 3
 //   count   u64      number of entries
-//   entries count x { key 4 x u64 (trace digest words, fingerprint words),
-//                     one dew::core result record ("DSWR", self-delimiting),
+//   entries count x { key 4 x u64 (trace digest words, column key words),
+//                     one dew::core result record ("DSWR", self-delimiting)
+//                     holding exactly one pass: the column,
 //                     checksum u64 of this entry's key + record bytes }
 //   footer  u64      checksum of every preceding byte of the file
 // The per-entry checksums are what make salvage loading safe: an entry
 // whose bytes rotted but still happen to frame is caught entry-precisely,
 // so recovery keeps exactly the verified prefix.  The footer catches
 // header/count damage and (in strict mode) any trailing garbage.
+//
+// Version 2 had the same framing, but each entry was one whole exact
+// request: its request key and its sweep.  load() turns a v2 entry whose
+// passes carry no counters beyond the request count into one fast column
+// per pass (keyed by column_key, at the entry's depth) and skips a counted
+// one: its counters hold for that request's depth and grid alone.
 namespace {
 
 constexpr char cache_magic[4] = {'D', 'S', 'C', 'F'};
-constexpr std::uint32_t cache_version = 2;
+constexpr std::uint32_t cache_version = 3;
+constexpr std::uint32_t cache_version_requests = 2;
 
 // Little-endian writers shared with every other binary format.
 using dew::put_u32_le;
@@ -65,6 +74,24 @@ std::uint64_t get_u64(std::istream& in, const char* where) {
     for (std::size_t i = 8; i-- > 0;) {
         value = (value << 8) | static_cast<unsigned char>(bytes[i]);
     }
+    return value;
+}
+
+// True when `pass` carries no counter beyond the request count: a fast
+// pass, whose misses are all a column holds.
+bool counter_free(const core::dew_result& pass) noexcept {
+    const core::dew_counters& c = pass.counters();
+    return c.node_evaluations == 0 && c.unoptimized_evaluations == 0 &&
+           c.mra_hits == 0 && c.wave_checks == 0 &&
+           c.mre_determinations == 0 && c.searches == 0 &&
+           c.wave_hit_determinations == 0 &&
+           c.wave_miss_determinations == 0 && c.mre_swaps == 0 &&
+           c.tag_comparisons == 0;
+}
+
+std::shared_ptr<const cached_value> column_value(core::dew_result pass) {
+    auto value = std::make_shared<cached_value>();
+    value->column.emplace(std::move(pass));
     return value;
 }
 
@@ -113,11 +140,17 @@ void result_cache::insert(const request_key& key,
                           std::shared_ptr<const cached_value> value) {
     shard& s = shard_of(key);
     const std::lock_guard<std::mutex> lock{s.mutex};
-    const auto [it, inserted] = s.map.try_emplace(key, std::move(value));
+    const auto [it, inserted] = s.map.try_emplace(key, value);
     if (!inserted) {
-        // A duplicate of an existing answer (two racing computations of the
-        // same key compute bit-identical payloads); keep the incumbent and
-        // its FIFO position.
+        // Two racing computations of one key compute identical payloads:
+        // keep the incumbent and its FIFO position.  A deeper column holds
+        // every answer of the shallower one, so it takes the slot, and a
+        // shallower one never does, whatever order the flights finish in.
+        const std::shared_ptr<const cached_value>& incumbent = it->second;
+        if (value->column && incumbent->column &&
+            value->column->max_level() > incumbent->column->max_level()) {
+            it->second = std::move(value);
+        }
         return;
     }
     insertions_.fetch_add(1, std::memory_order_relaxed);
@@ -157,7 +190,7 @@ void result_cache::clear() {
 }
 
 void result_cache::save(std::ostream& out) const {
-    // Snapshot the exact entries shard by shard; persistence is an offline
+    // Snapshot the columns shard by shard; persistence is an offline
     // operation, so briefly holding each shard lock in turn is fine.
     std::vector<std::pair<request_key, std::shared_ptr<const cached_value>>>
         entries;
@@ -165,8 +198,7 @@ void result_cache::save(std::ostream& out) const {
         const std::lock_guard<std::mutex> lock{s->mutex};
         for (const request_key& key : s->fifo) {
             const auto it = s->map.find(key);
-            if (it != s->map.end() && it->second->sweep &&
-                !it->second->estimated) {
+            if (it != s->map.end() && it->second->column) {
                 entries.emplace_back(key, it->second);
             }
         }
@@ -184,7 +216,10 @@ void result_cache::save(std::ostream& out) const {
         put_u64_le(entry, key.trace.words[1]);
         put_u64_le(entry, key.request[0]);
         put_u64_le(entry, key.request[1]);
-        core::write_binary_result(entry, *value->sweep);
+        core::sweep_result column;
+        column.requests = value->column->requests();
+        column.passes.push_back(*value->column);
+        core::write_binary_result(entry, column);
         const std::string bytes = entry.str();
         buffer.write(bytes.data(),
                      static_cast<std::streamsize>(bytes.size()));
@@ -223,6 +258,9 @@ cache_load_report result_cache::load(std::istream& in, load_mode mode) {
     std::istringstream parse{bytes};
     std::uint64_t count = 0;
     bool header_ok = false;
+    bool columns_only = true; // version 3; false: version 2 requests
+    std::uint64_t verified = 0; // entries whose framing and checksum held
+    std::uint64_t counted = 0;  // verified version 2 entries with counters
     try {
         std::array<char, 8> header{};
         parse.read(header.data(),
@@ -241,11 +279,12 @@ cache_load_report result_cache::load(std::istream& in, load_mode mode) {
         for (std::size_t i = 8; i-- > 4;) {
             version = (version << 8) | static_cast<unsigned char>(header[i]);
         }
-        if (version != cache_version) {
+        if (version != cache_version && version != cache_version_requests) {
             throw std::runtime_error{"unsupported cache file version " +
                                      std::to_string(version) +
                                      " at byte offset 4"};
         }
+        columns_only = version == cache_version;
         count = get_u64(parse, "entry count at byte offset 8");
         header_ok = true;
     } catch (const std::runtime_error& error) {
@@ -262,9 +301,7 @@ cache_load_report result_cache::load(std::istream& in, load_mode mode) {
                 key.trace.words[1] = get_u64(parse, "trace digest");
                 key.request[0] = get_u64(parse, "request fingerprint");
                 key.request[1] = get_u64(parse, "request fingerprint");
-                auto value = std::make_shared<cached_value>();
-                value->sweep = std::make_shared<const core::sweep_result>(
-                    core::read_binary_result(parse));
+                core::sweep_result record = core::read_binary_result(parse);
                 const std::uint64_t end =
                     static_cast<std::uint64_t>(parse.tellg());
                 const std::uint64_t want =
@@ -278,7 +315,30 @@ cache_load_report result_cache::load(std::istream& in, load_mode mode) {
                         std::to_string(start) + ", " + std::to_string(end) +
                         ")"};
                 }
-                staged.emplace_back(key, std::move(value));
+                if (columns_only) {
+                    if (record.passes.size() != 1) {
+                        throw std::runtime_error{
+                            "column entry over bytes [" +
+                            std::to_string(start) + ", " +
+                            std::to_string(end) + ") holds " +
+                            std::to_string(record.passes.size()) +
+                            " passes, not 1"};
+                    }
+                    staged.emplace_back(
+                        key, column_value(std::move(record.passes.front())));
+                } else if (std::all_of(record.passes.begin(),
+                                       record.passes.end(), counter_free)) {
+                    for (core::dew_result& pass : record.passes) {
+                        staged.emplace_back(
+                            column_key(key.trace, core::sweep_request{},
+                                       pass.block_size(),
+                                       pass.associativity()),
+                            column_value(std::move(pass)));
+                    }
+                } else {
+                    ++counted;
+                }
+                ++verified;
             } catch (const std::runtime_error& error) {
                 // Offsets of later entries depend on variable-length
                 // payloads; the entry ordinal locates the fault, the
@@ -328,9 +388,7 @@ cache_load_report result_cache::load(std::istream& in, load_mode mode) {
         insert(key, std::move(value));
     }
     report.loaded = staged.size();
-    report.skipped = static_cast<std::size_t>(count) > report.loaded
-                         ? static_cast<std::size_t>(count) - report.loaded
-                         : 0;
+    report.skipped = static_cast<std::size_t>(count - verified + counted);
     return report;
 }
 

@@ -1,11 +1,23 @@
 // Sharded, capacity-bounded result cache of the sweep service.
 //
-// The map is (trace digest, request fingerprint) -> answered result.  Keys
-// spread over independently-locked shards (the key hash is already
+// The map is (trace digest, fingerprint) -> cached value.  It holds two
+// kinds of entry:
+//
+//   * exact columns, the only exact unit: one (trace, block size,
+//     associativity) DEW pass at the depth it was computed, keyed by
+//     serve::column_key.  The service composes every exact answer from
+//     them.  A fast column at depth L answers any depth L' <= L as a
+//     prefix, so a deeper column replaces a shallower one under the same
+//     key and a shallower one never replaces a deeper one (insert);
+//   * representative answers, keyed by the request fingerprint.
+//
+// Keys spread over independently-locked shards (the key hash is already
 // avalanche-mixed, so the low bits shard evenly) and each shard evicts in
 // FIFO order once its slice of the capacity fills — the same replacement
 // discipline the simulated caches use, and the right one here too: sweep
-// answers do not age, they are either still asked for or not.
+// answers do not age, they are either still asked for or not.  Capacity
+// counts entries, so an exact request of |B| x |A| passes occupies that
+// many.
 //
 // Values are shared_ptr-to-const: a hit hands out a reference to the cached
 // payload, eviction never invalidates a result a caller still holds, and
@@ -13,13 +25,15 @@
 // counters are atomics readable while the cache is hot.
 //
 // Persistence reuses dew::result_io's hardened binary round trip: save()
-// writes every *exact* entry (estimates are cheap to recompute and carry
-// analysis state that is not worth freezing) and checksums each entry plus
-// the whole file.  load() is transactional in strict mode — a malformed or
+// writes every column (estimates are cheap to recompute and carry analysis
+// state that is not worth freezing) and checksums each entry plus the
+// whole file.  load() is transactional in strict mode — a malformed or
 // checksum-failing file throws the byte-offset-naming errors of
 // read_binary_result and inserts NOTHING — and crash-tolerant in salvage
 // mode: every entry framed and checksummed before the first fault byte is
 // recovered, the rest reported, never a partial or unverified entry.
+// Version 2 files, whose entries were whole exact requests, still load:
+// a fast entry becomes one column per pass; a counted one is skipped.
 #ifndef DEW_SERVE_CACHE_HPP
 #define DEW_SERVE_CACHE_HPP
 
@@ -30,6 +44,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -47,10 +62,12 @@ struct cache_options {
     std::size_t capacity{1024};
 };
 
-// One answered request.  Exactly one of `sweep` / `estimate` is the primary
-// payload; a representative answer that fell back to exact carries the
-// exact sweep (that is what was served) with fell_back_exact set.
+// One cached entry.  An exact column carries only `column`.  A
+// representative answer carries `estimate`; one that fell back to exact
+// also carries the exact sweep (that is what was served) with
+// fell_back_exact set.
 struct cached_value {
+    std::optional<core::dew_result> column;
     std::shared_ptr<const core::sweep_result> sweep;
     std::shared_ptr<const phase::representative_sweep_result> estimate;
     bool estimated{false};
@@ -72,8 +89,10 @@ enum class load_mode : std::uint8_t {
 };
 
 struct cache_load_report {
-    std::size_t loaded{0};  // entries inserted into the cache
-    std::size_t skipped{0}; // declared entries not recovered (salvage only)
+    std::size_t loaded{0};  // columns inserted into the cache
+    // Declared entries not recovered (salvage only), plus version 2
+    // entries with counters, which hold no reusable column.
+    std::size_t skipped{0};
     // True iff a fault was tolerated (salvage mode); salvaged_at is then
     // the byte offset of the first byte that could not be used — every
     // loaded entry was framed entirely inside [0, salvaged_at).
@@ -102,9 +121,11 @@ public:
     [[nodiscard]] std::shared_ptr<const cached_value>
     find(const request_key& key);
 
-    // Inserts (or replaces — idempotent for identical keys, which concurrent
-    // duplicate computations can produce) and evicts the shard's oldest
-    // entry when its slice of the capacity is full.
+    // Inserts and evicts the shard's oldest entry when its slice of the
+    // capacity is full.  An existing key keeps its incumbent (concurrent
+    // duplicate computations produce identical payloads) unless both are
+    // columns and the new one is deeper: then the value is replaced in
+    // place, keeping its FIFO position.
     void insert(const request_key& key,
                 std::shared_ptr<const cached_value> value);
 
@@ -112,11 +133,12 @@ public:
     [[nodiscard]] std::size_t size() const;
     void clear();
 
-    // Exact entries only; format documented in cache.cpp (version 2: per-
-    // entry checksums + a whole-file footer checksum).  load() stages every
-    // entry before inserting any: strict mode is transactional (throws on
-    // any fault, cache untouched), salvage mode recovers the verified
-    // prefix and reports the rest (see load_mode / cache_load_report).
+    // Columns only; format documented in cache.cpp (version 3: one column
+    // per entry, per-entry checksums + a whole-file footer checksum; load
+    // also reads version 2).  load() stages every entry before inserting
+    // any: strict mode is transactional (throws on any fault, cache
+    // untouched), salvage mode recovers the verified prefix and reports
+    // the rest (see load_mode / cache_load_report).
     void save(std::ostream& out) const;
     cache_load_report load(std::istream& in,
                            load_mode mode = load_mode::strict);

@@ -76,6 +76,13 @@ service_request canonical(const service_request& request) {
         normal.phase = phase::phase_options{};
         normal.warmup_records = 0;
         normal.error_budget_pp = 0.0;
+        if (normal.sweep.instrumentation ==
+            core::sweep_instrumentation::fast) {
+            // A fast answer is miss counts alone, bit-identical across
+            // engines and dew_options; only counters tell them apart.
+            normal.sweep.engine = core::sweep_engine::dew;
+            normal.sweep.options = core::dew_options{};
+        }
     }
     return normal;
 }
@@ -123,6 +130,26 @@ fingerprint_canonical(const service_request& normal) {
 request_key make_key(const trace::trace_digest& digest,
                      const service_request& request) {
     return {digest, fingerprint(request)};
+}
+
+request_key column_key(const trace::trace_digest& digest,
+                       const core::sweep_request& normal,
+                       std::uint32_t block, std::uint32_t assoc) {
+    folder fold;
+    fold(0x4C4F4353ull); // format tag "SCOL": never a request key
+    fold(block);
+    fold(assoc);
+    fold(static_cast<std::uint64_t>(normal.instrumentation));
+    if (normal.instrumentation != core::sweep_instrumentation::fast) {
+        // Counters depend on the depth, the engine and the dew_options.
+        fold(normal.max_set_exp);
+        fold(static_cast<std::uint64_t>(normal.engine));
+        fold((static_cast<std::uint64_t>(normal.options.use_mra_stop) << 2) |
+             (static_cast<std::uint64_t>(normal.options.use_wave) << 1) |
+             static_cast<std::uint64_t>(normal.options.use_mre));
+        fold(normal.options.mre_depth);
+    }
+    return {digest, fold.finish()};
 }
 
 } // namespace dew::serve

@@ -8,14 +8,24 @@
 //      deduplicated (a sweep's answer is a set of configurations, not a
 //      listing order) and `threads` is zeroed (parallelism is the service's
 //      concern and results are bit-identical regardless — the session test
-//      suite proves it).  Everything that can change a single answered bit
-//      — engine, instrumentation policy, dew_options, max_set_exp, the
-//      grids, the service tier and its phase/warmup/error-budget knobs — is
-//      preserved.  The service executes the canonical form, so the result
-//      handed back is exactly run_sweep(trace, canonical(request.sweep)).
+//      suite proves it).  An exact request with fast instrumentation also
+//      gets the default engine and dew_options: its answer is miss counts
+//      alone, and those are bit-identical across engines and ablations
+//      (the cross-simulator and ablation suites prove it), so fast DEW and
+//      fast CIPAR requests for one grid are one question.  Everything else
+//      that can change a single answered bit — a counted request's engine
+//      and dew_options, the instrumentation policy, max_set_exp, the grids,
+//      the service tier and its phase/warmup/error-budget knobs — is
+//      preserved.  The service answers the canonical form, so the result
+//      handed back is exactly run_sweep(trace, canonical(request).sweep).
 //   2. fingerprint() — a 128-bit hash of the canonical form.  Keys compare
 //      by full (trace digest, fingerprint) value, 256 bits total, so a
 //      collision needs simultaneous 128+128-bit coincidence.
+//   3. column_key() — the exact result cache's unit: one (trace, block
+//      size, associativity) pass.  A fast column's key leaves the depth
+//      out, because the pass at depth L holds every shallower answer as a
+//      prefix; a counted column's key folds the depth, the engine and the
+//      dew_options, which its counters depend on.
 #ifndef DEW_SERVE_KEY_HPP
 #define DEW_SERVE_KEY_HPP
 
@@ -128,6 +138,15 @@ struct request_key_hash {
 
 [[nodiscard]] request_key make_key(const trace::trace_digest& digest,
                                    const service_request& request);
+
+// The key of the (block, assoc) column of `normal`, an exact canonical
+// sweep, over the trace `digest`.  Fast columns key on (block, assoc) only;
+// counted ones also on the engine, the dew_options and max_set_exp.
+// Column keys live in the request keys' space but fold their own format
+// tag first, so the two never coincide.
+[[nodiscard]] request_key column_key(const trace::trace_digest& digest,
+                                     const core::sweep_request& normal,
+                                     std::uint32_t block, std::uint32_t assoc);
 
 } // namespace dew::serve
 

@@ -66,6 +66,100 @@ service_request estimate_question(const service_request& exact) {
     return canonical(question);
 }
 
+// The pass at depth `level` <= column.max_level().  In the binomial tree a
+// level's misses depend only on the levels above it, so the shallower pass
+// is a prefix of the deeper one.  Only fast columns are ever trimmed (a
+// counted column's key folds its depth), and their counters carry the
+// request count alone, which does not depend on the depth.
+core::dew_result prefix(const core::dew_result& column, unsigned level) {
+    if (column.max_level() == level) {
+        return column;
+    }
+    std::vector<std::uint64_t> misses_assoc(level + 1);
+    std::vector<std::uint64_t> misses_dm(level + 1);
+    for (unsigned l = 0; l <= level; ++l) {
+        misses_assoc[l] = column.misses(l, column.associativity());
+        misses_dm[l] = column.misses(l, 1);
+    }
+    return {level,
+            column.associativity(),
+            column.block_size(),
+            column.requests(),
+            std::move(misses_assoc),
+            std::move(misses_dm),
+            column.counters()};
+}
+
+// An exact request's columns, block-major (slot b * |A| + a of the
+// canonical grids): each one's cache key, and the entry that answers it at
+// the request's depth (null while missing).
+struct column_set {
+    std::vector<request_key> keys;
+    std::vector<std::shared_ptr<const cached_value>> found;
+};
+
+column_set columns_of(const trace::trace_digest& digest,
+                      const core::sweep_request& normal) {
+    column_set columns;
+    columns.keys.reserve(normal.block_sizes.size() *
+                         normal.associativities.size());
+    for (const std::uint32_t block : normal.block_sizes) {
+        for (const std::uint32_t assoc : normal.associativities) {
+            columns.keys.push_back(column_key(digest, normal, block, assoc));
+        }
+    }
+    columns.found.resize(columns.keys.size());
+    return columns;
+}
+
+// run_sweep's answer to `normal` over `requests` records, assembled from
+// its columns (every slot filled) in run_sweep's block-major order.
+// `seconds` reports admission -> assembly.
+std::shared_ptr<const core::sweep_result>
+compose(const core::sweep_request& normal, std::uint64_t requests,
+        const column_set& columns, std::uint64_t admitted_ns) {
+    auto sweep = std::make_shared<core::sweep_result>();
+    sweep->requests = requests;
+    sweep->passes.reserve(columns.found.size());
+    for (const std::shared_ptr<const cached_value>& column : columns.found) {
+        sweep->passes.push_back(prefix(*column->column, normal.max_set_exp));
+    }
+    sweep->seconds = 1e-9 * static_cast<double>(obs::now_ns() - admitted_ns);
+    return sweep;
+}
+
+// One shard job of an exact flight: a block size and the associativities
+// whose columns were missing, with the slots they fill and, once the job
+// ran, their passes.
+struct shard_work {
+    std::uint32_t block{0};
+    std::vector<std::uint32_t> assocs;
+    std::vector<std::size_t> slots;
+    std::vector<core::dew_result> passes;
+};
+
+// One shard per block size that has a missing column: one decode and one
+// stage 1 serve all of its missing associativities.
+std::vector<shard_work> plan_shards(const core::sweep_request& normal,
+                                    const column_set& columns) {
+    std::vector<shard_work> shards;
+    const std::size_t width = normal.associativities.size();
+    for (std::size_t b = 0; b < normal.block_sizes.size(); ++b) {
+        shard_work work;
+        work.block = normal.block_sizes[b];
+        for (std::size_t a = 0; a < width; ++a) {
+            if (!columns.found[b * width + a]) {
+                work.assocs.push_back(normal.associativities[a]);
+                work.slots.push_back(b * width + a);
+            }
+        }
+        if (!work.slots.empty()) {
+            shards.push_back(std::move(work));
+        }
+    }
+    return shards;
+}
+
 service_result to_result(const cached_value& value) {
     service_result out;
     out.sweep = value.sweep;
@@ -97,6 +191,12 @@ struct counters {
     obs::histogram queue_wait_ns;
     obs::histogram shard_ns;
     obs::histogram settle_ns;
+
+    // Exact columns that submits found in the cache or had to compute, one
+    // count per column of each exact submit that did not coalesce.  Kept
+    // out of service_stats, whose layout the wire freezes.
+    std::atomic<std::uint64_t> column_hits{0};
+    std::atomic<std::uint64_t> column_misses{0};
 
     void bump(std::uint64_t service_stats::*field) noexcept {
         std::atomic_ref<std::uint64_t>{totals.*field}.fetch_add(
@@ -143,15 +243,17 @@ struct service::flight {
     request_key key;
     std::shared_ptr<trace_entry> trace;
 
-    // Guards waiters/live/earliest_deadline/results/error.
+    // Guards waiters/live/earliest_deadline/shard passes/value/error.
     std::mutex mutex; // dewlint: lock-order serve-flight 40
     std::vector<waiter> waiters; // [0] = initiator; indices never move
     std::size_t live{0};         // waiters not yet settled
     clock::time_point earliest_deadline{no_deadline};
-    // Exact tier: one slot per distinct block size (canonical grids are
-    // sorted and unique), each filled by one shard job.
-    std::vector<std::vector<core::dew_result>> shard_results;
-    cached_value value;
+    // Exact tier: the columns submit snapshotted from the cache, completed
+    // at settle with what the shard jobs computed, and one shard job per
+    // block size with a missing column.
+    column_set columns;
+    std::vector<shard_work> shards;
+    cached_value value; // the answer; an exact one is composed at settle
     std::exception_ptr error; // first failing job wins
 
     // No live waiters left (all timed out / cancelled): queued jobs skip,
@@ -177,7 +279,7 @@ struct service::flight {
 
 struct service::job {
     std::shared_ptr<flight> target;
-    std::size_t shard{0}; // exact tier: index into sweep.block_sizes
+    std::size_t shard{0}; // exact tier: index into flight::shards
     // When the job entered the queue (0 = recording off): the queue-wait
     // span/histogram sample is taken by the worker that picks it up.
     std::uint64_t enqueued_ns{0};
@@ -408,6 +510,10 @@ struct service::state {
               cstats.evictions);
         plain("serve.cache.entries", obs::metric_kind::gauge,
               cstats.entries);
+        plain("serve.cache.column_hits", obs::metric_kind::counter,
+              c.column_hits.load(std::memory_order_relaxed));
+        plain("serve.cache.column_misses", obs::metric_kind::counter,
+              c.column_misses.load(std::memory_order_relaxed));
         std::uint64_t depth = 0;
         std::uint64_t occupancy = 0;
         {
@@ -476,13 +582,43 @@ struct service::state {
         return queue.size() >= watermark;
     }
 
-    // One result-cache lookup, timed as its own stage.
+    // The cached answer to `normal`, or null, timed as its own stage.  A
+    // representative request is one entry.  An exact one is its columns:
+    // every slot of `columns` still missing is looked up, and once all are
+    // present they compose run_sweep's answer over `requests` records.
     [[nodiscard]] std::shared_ptr<const cached_value>
-    probe_cache(const request_key& key, const service_request& normal) {
+    probe_cache(const request_key& key, const service_request& normal,
+                column_set& columns, std::uint64_t requests,
+                std::uint64_t admitted_ns) {
         obs::span probe{"serve.cache_probe", &ctrs->cache_probe_ns,
                         normal.obs_correlation, key.request[0]};
         probe.set_trace(normal.obs_trace_hi, normal.obs_trace_lo);
-        return cache.find(key);
+        if (normal.mode != service_mode::exact) {
+            return cache.find(key);
+        }
+        bool complete = true;
+        for (std::size_t i = 0; i < columns.keys.size(); ++i) {
+            if (columns.found[i]) {
+                continue;
+            }
+            std::shared_ptr<const cached_value> hit =
+                cache.find(columns.keys[i]);
+            // A fast column answers every depth up to its own.
+            if (hit && hit->column &&
+                hit->column->max_level() >= normal.sweep.max_set_exp) {
+                columns.found[i] = std::move(hit);
+            } else {
+                complete = false;
+            }
+        }
+        if (!complete) {
+            return nullptr;
+        }
+        ctrs->column_hits.fetch_add(columns.keys.size(),
+                                    std::memory_order_relaxed);
+        auto composed = std::make_shared<cached_value>();
+        composed->sweep = compose(normal.sweep, requests, columns, admitted_ns);
+        return composed;
     }
 
     // A submission answered from the cache, settled like a waiter (there
@@ -582,23 +718,24 @@ struct service::state {
     }
 
     [[nodiscard]] static std::size_t job_count(const flight& f) noexcept {
-        return f.request.mode == service_mode::exact
-                   ? f.request.sweep.block_sizes.size()
-                   : 1;
+        return f.request.mode == service_mode::exact ? f.shards.size() : 1;
     }
 
-    // One shard of an exact flight: the canonical sweep restricted to one
-    // block size, run through run_sweep.  Its session decodes the records
-    // at that block size chunk by chunk and feeds every associativity
-    // pass, so the shard keeps no stream beyond one chunk.
+    // One shard of an exact flight: the canonical sweep narrowed to one
+    // block size and its missing associativities, run through run_sweep.
+    // Its session decodes the records at that block size chunk by chunk
+    // and feeds every associativity pass, so the shard keeps no stream
+    // beyond one chunk.  (A shard's block and assocs never change after
+    // submit; only its passes are guarded.)
     void run_exact_shard(flight& f, std::size_t shard) {
-        core::sweep_request one_block = f.request.sweep;
-        one_block.block_sizes = {f.request.sweep.block_sizes[shard]};
+        core::sweep_request narrowed = f.request.sweep;
+        narrowed.block_sizes = {f.shards[shard].block};
+        narrowed.associativities = f.shards[shard].assocs;
         ctrs->bump(&service_stats::stream_builds);
         core::sweep_result result =
-            core::run_sweep(f.trace->records, one_block);
+            core::run_sweep(f.trace->records, narrowed);
         const std::lock_guard<std::mutex> lock{f.mutex};
-        f.shard_results[shard] = std::move(result.passes);
+        f.shards[shard].passes = std::move(result.passes);
     }
 
     // The estimate and, with a positive budget, one exact sweep that
@@ -743,9 +880,8 @@ struct service::state {
                     const std::lock_guard<std::mutex> lock{f->mutex};
                     f->error = nullptr;
                     f->value = {};
-                    if (f->request.mode == service_mode::exact) {
-                        f->shard_results.clear();
-                        f->shard_results.resize(jobs);
+                    for (shard_work& work : f->shards) {
+                        work.passes.clear();
                     }
                 }
                 f->attempt.fetch_add(1, std::memory_order_relaxed);
@@ -755,31 +891,34 @@ struct service::state {
             }
         }
 
-        // Settle: assemble the sweep, cache it, unmap the flight, fulfil
+        // Settle: assemble the answer, cache it, unmap the flight, fulfil
         // every live waiter — the tail latency a caller sees after the
-        // last shard finished.
+        // last shard finished.  An exact answer is composed from the
+        // snapshot plus the computed columns, never looked up again, so an
+        // eviction since submit cannot break it.
         obs::span settle_span{"serve.settle", &ctrs->settle_ns,
                               f->request.obs_correlation, f->key.request[0]};
         settle_span.set_trace(f->request.obs_trace_hi,
                               f->request.obs_trace_lo);
         cached_value value;
+        std::vector<std::pair<request_key, std::shared_ptr<const cached_value>>>
+            computed;
         if (!error && !abandoned) {
             const std::lock_guard<std::mutex> lock{f->mutex};
             if (f->request.mode == service_mode::exact) {
-                auto sweep = std::make_shared<core::sweep_result>();
-                sweep->requests = f->trace->records.size();
-                sweep->passes.reserve(
-                    f->request.sweep.block_sizes.size() *
-                    f->request.sweep.associativities.size());
-                for (std::vector<core::dew_result>& shard :
-                     f->shard_results) {
-                    for (core::dew_result& pass : shard) {
-                        sweep->passes.push_back(std::move(pass));
+                column_set& columns = f->columns;
+                for (shard_work& work : f->shards) {
+                    for (std::size_t i = 0; i < work.slots.size(); ++i) {
+                        auto column = std::make_shared<cached_value>();
+                        column->column.emplace(std::move(work.passes[i]));
+                        columns.found[work.slots[i]] = column;
+                        computed.emplace_back(columns.keys[work.slots[i]],
+                                              std::move(column));
                     }
                 }
-                sweep->seconds =
-                    1e-9 * static_cast<double>(obs::now_ns() - f->admitted_ns);
-                f->value.sweep = std::move(sweep);
+                f->value.sweep =
+                    compose(f->request.sweep, f->trace->records.size(),
+                            columns, f->admitted_ns);
             }
             value = f->value; // shared payload; waiters and cache alias it
         }
@@ -788,7 +927,14 @@ struct service::state {
             if (f->attempt.load(std::memory_order_relaxed) > 0) {
                 ctrs->bump(&service_stats::retry_successes);
             }
-            cache.insert(f->key, std::make_shared<const cached_value>(value));
+            if (f->request.mode == service_mode::exact) {
+                for (auto& [slot_key, column] : computed) {
+                    cache.insert(slot_key, std::move(column));
+                }
+            } else {
+                cache.insert(f->key,
+                             std::make_shared<const cached_value>(value));
+            }
         }
         unmap(f);
         // Settle the live waiters; the disposition ranks failure >
@@ -1089,6 +1235,14 @@ cancel_lever service::submit(std::string_view trace_name,
     // would re-normalise (copy + sort + validate) on every submit.
     request_key key{entry->digest, fingerprint_canonical(normal)};
     submit_span.set_fingerprint(key.request[0]);
+    // Exact: the columns the answer is composed from, filled by the probes.
+    column_set columns = normal.mode == service_mode::exact
+                             ? columns_of(entry->digest, normal.sweep)
+                             : column_set{};
+    const auto probe = [&] {
+        return s.probe_cache(key, normal, columns, entry->records.size(),
+                             admitted_ns);
+    };
     // Set once load shedding has replaced `normal` and `key` with the
     // estimate-tier question; what follows then answers that question.
     bool degraded = false;
@@ -1116,7 +1270,7 @@ cancel_lever service::submit(std::string_view trace_name,
         ++target.live;
         return target.waiters.size() - 1;
     };
-    if (const auto cached = s.probe_cache(key, normal)) {
+    if (const auto cached = probe()) {
         return serve_cached(*cached);
     }
 
@@ -1143,7 +1297,7 @@ cancel_lever service::submit(std::string_view trace_name,
             // (finish() never holds a cache shard lock while taking
             // flights_mutex: no deadlock.)  A hit is answered unlocked:
             // completions never run under a service lock.
-            if (const auto cached = s.probe_cache(key, normal)) {
+            if (const auto cached = probe()) {
                 lock.unlock();
                 return serve_cached(*cached);
             }
@@ -1164,11 +1318,18 @@ cancel_lever service::submit(std::string_view trace_name,
         f->start_ns = obs::timestamp_if_enabled();
         f->admitted_ns = admitted_ns;
         (void)join(*f);
-        const std::size_t jobs = state::job_count(*f);
-        f->remaining.store(jobs, std::memory_order_relaxed);
         if (normal.mode == service_mode::exact) {
-            f->shard_results.resize(jobs);
+            const std::size_t missing = static_cast<std::size_t>(
+                std::count(columns.found.begin(), columns.found.end(),
+                           nullptr));
+            s.ctrs->column_hits.fetch_add(columns.found.size() - missing,
+                                          std::memory_order_relaxed);
+            s.ctrs->column_misses.fetch_add(missing,
+                                            std::memory_order_relaxed);
+            f->shards = plan_shards(normal.sweep, columns);
+            f->columns = std::move(columns);
         }
+        f->remaining.store(state::job_count(*f), std::memory_order_relaxed);
         // insert_or_assign, not emplace: the slot may hold the abandoned
         // corpse detected above.
         s.flights.insert_or_assign(key, f);

@@ -6,20 +6,35 @@
 //   * Content addressing.  Traces are identified by a streaming 128-bit
 //     digest (trace/digest.hpp), requests by the fingerprint of their
 //     canonical form (serve/key.hpp): the same question about the same
-//     records is the same entry however it was spelled.
-//   * Result cache.  A sharded FIFO-bounded map (serve/cache.hpp);
-//     save_cache / load_cache persist it with per-entry and whole-file
-//     checksums and a salvage mode for crash-truncated files.
-//   * Scheduler.  submit() is async and never simulates on the calling
-//     thread.  Identical in-flight requests coalesce: N callers, one
-//     computation.  Jobs interleave on a fixed worker pool above a bounded
-//     queue (overflow_policy: block, fail fast with service_overloaded, or
-//     shed to the estimate tier past a high-watermark).
+//     records is the same question however it was spelled.
+//   * Result cache.  A sharded FIFO-bounded map (serve/cache.hpp) whose
+//     only exact unit is one column: the (trace, block size B,
+//     associativity A) pass at the depth it was computed.  Capacity counts
+//     entries, so a request of |B| x |A| passes occupies that many.
+//     save_cache / load_cache persist the columns with per-entry and
+//     whole-file checksums and a salvage mode for crash-truncated files.
+//   * Subsumption.  One DEW pass at depth L holds the exact misses of every
+//     set count 2^0..2^L, so a fast column at depth L answers any request
+//     at L' <= L as a prefix, and a deeper column replaces a shallower one.
+//     A counted column answers only its own depth (its counters depend on
+//     it).  Fast DEW and fast CIPAR requests share columns: canonical()
+//     resets their engine and dew_options.
+//   * Scheduler.  submit() snapshots the columns an exact request needs.
+//     When all are present it composes the answer on the calling thread (a
+//     cache hit, so a repeated exact request is a composed hit, not a
+//     stored pointer).  Otherwise identical in-flight requests coalesce:
+//     N callers, one computation.  Jobs interleave on a fixed worker pool
+//     above a bounded queue (overflow_policy: block, fail fast with
+//     service_overloaded, or shed to the estimate tier past a
+//     high-watermark).
 //   * Tiers: two kinds of flight.  service_mode::exact runs one shard job
-//     per distinct block size, each a run_sweep over the canonical sweep
-//     narrowed to that block size, and concatenates their passes: the
-//     answer is run_sweep(trace, canonical(request).sweep) bit for bit,
-//     and nothing derived from a trace outlives a job.
+//     per block size with a missing column, each a run_sweep over the
+//     canonical sweep narrowed to that block size and its missing
+//     associativities (one decode and one stage 1 per block size).  At
+//     settle it caches the new columns and composes the answer from the
+//     snapshot plus the computed passes: run_sweep(trace,
+//     canonical(request).sweep) bit for bit.  Nothing derived from a trace
+//     but the columns outlives a job.
 //     service_mode::representative is one job: the phase estimate
 //     (src/phase/) and, with a positive error budget, one exact sweep that
 //     calibrates it and, past the budget, is served as the fallback.
@@ -129,7 +144,7 @@ struct service_options {
     // Worker threads executing jobs; >= 1.
     unsigned workers{2};
     // Bounded job queue: the backpressure surface.  A request needs one
-    // queue slot per distinct block size (exact) or one slot
+    // queue slot per block size with a missing column (exact) or one slot
     // (representative).  Must be >= 1.
     std::size_t queue_capacity{256};
     overflow_policy overflow{overflow_policy::block};
@@ -168,7 +183,8 @@ struct service_result {
     // Representative tier: the phase estimate (also set alongside `sweep`
     // when the service fell back, so the caller can see both).
     std::shared_ptr<const phase::representative_sweep_result> estimate;
-    bool cache_hit{false};  // answered without any computation
+    bool cache_hit{false};  // answered without any computation (an exact
+                            // answer composed from cached columns)
     bool coalesced{false};  // joined another caller's in-flight computation
     bool estimated{false};  // served by the representative tier
     bool fell_back_exact{false}; // estimate exceeded the budget; sweep served
@@ -184,10 +200,12 @@ struct service_result {
 struct service_stats {
     std::uint64_t submitted{0};
     std::uint64_t completed{0};
-    std::uint64_t cache_hits{0};   // submit-time cache answers
+    std::uint64_t cache_hits{0};   // submit-time cache answers (exact:
+                                   // every column was cached)
     std::uint64_t coalesced{0};    // submits folded into an in-flight flight
     std::uint64_t computations{0}; // flights actually simulated
-    std::uint64_t shard_jobs{0};   // jobs executed by the pool
+    std::uint64_t shard_jobs{0};   // jobs executed by the pool (exact:
+                                   // one per block size missing a column)
     std::uint64_t stream_builds{0}; // block-size decodes shard jobs ran
     std::uint64_t stream_reuses{0}; // always 0: no decode is shared
     std::uint64_t rejected{0};      // fail-fast overflow rejections

@@ -305,7 +305,7 @@ TEST(Loopback, CacheImageHandsOffBetweenServers) {
     const trace::trace_digest digest = cli.register_trace(records);
     const serve::cache_load_report report =
         cli.load_cache(serve::load_mode::strict, image);
-    EXPECT_EQ(report.loaded, 1u);
+    EXPECT_EQ(report.loaded, 4u); // one column per (B, A) of the 2 x 2 grid
     EXPECT_TRUE(report.checksum_ok);
 
     // The warmed server answers from cache, bit-identically.

@@ -29,12 +29,14 @@ trace::mem_trace workload() {
     return trace::make_mediabench_trace(trace::mediabench_app::cjpeg, 3000);
 }
 
-// Distinct questions: mre_depth is part of the request identity for the
-// DEW engine (canonical() zeroes dew_options for cipar, which has no
-// property switches), so every index is a different fingerprint — and so a
-// different ring point — while the sweeps stay small.
+// Distinct questions: mre_depth is part of the request identity of a
+// counted DEW request (canonical() resets dew_options for fast requests,
+// whose miss counts they cannot change), so every index is a different
+// fingerprint — and so a different ring point — while the sweeps stay
+// small.
 serve::service_request request_number(std::size_t index) {
     serve::service_request request;
+    request.sweep.instrumentation = core::sweep_instrumentation::full_counters;
     request.sweep.max_set_exp = 3 + index % 2;
     request.sweep.block_sizes = {16};
     request.sweep.associativities = {2, 4};

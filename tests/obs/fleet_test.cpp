@@ -26,8 +26,11 @@ namespace {
 using namespace dew;
 using namespace dew::net;
 
+// Distinct indices are distinct questions: a counted request keeps its
+// dew_options (mre_depth) in its identity.
 serve::service_request small_request(std::uint32_t index = 0) {
     serve::service_request request;
+    request.sweep.instrumentation = core::sweep_instrumentation::full_counters;
     request.sweep.max_set_exp = 4;
     request.sweep.block_sizes = {16, 32};
     request.sweep.associativities = {2, 4};

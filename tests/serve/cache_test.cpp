@@ -1,12 +1,19 @@
 // The sharded result cache: hit/miss/eviction accounting, shared immutable
-// values, and the hardened persistence round trip.
+// values, deeper-column replacement, and the hardened persistence round
+// trip (DSCF version 3, and version 2 images turned into columns).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/bits.hpp"
+#include "dew/result_io.hpp"
 #include "dew/sweep.hpp"
 #include "serve/cache.hpp"
 #include "trace/mediabench.hpp"
@@ -20,15 +27,21 @@ request_key key_of(std::uint64_t n) {
     return {{{n, n * 3 + 1}}, {mix64(n), mix64(n + 1)}};
 }
 
-std::shared_ptr<const cached_value> exact_value() {
+const trace::mem_trace& small_trace() {
+    static const trace::mem_trace records =
+        trace::make_mediabench_trace(trace::mediabench_app::cjpeg, 2000);
+    return records;
+}
+
+// One fast (16 B, 2-way) column at depth `max_set_exp`.
+std::shared_ptr<const cached_value> exact_value(unsigned max_set_exp = 3) {
     core::sweep_request request;
-    request.max_set_exp = 3;
+    request.max_set_exp = max_set_exp;
     request.block_sizes = {16};
     request.associativities = {2};
     auto value = std::make_shared<cached_value>();
-    value->sweep = std::make_shared<const core::sweep_result>(core::run_sweep(
-        trace::make_mediabench_trace(trace::mediabench_app::cjpeg, 2000),
-        request));
+    value->column.emplace(
+        core::run_sweep(small_trace(), request).passes.front());
     return value;
 }
 
@@ -38,7 +51,7 @@ TEST(ServeCache, HitsMissesAndEntriesAreCounted) {
     cache.insert(key_of(1), exact_value());
     const auto hit = cache.find(key_of(1));
     ASSERT_NE(hit, nullptr);
-    EXPECT_NE(hit->sweep, nullptr);
+    EXPECT_TRUE(hit->column.has_value());
     EXPECT_EQ(cache.find(key_of(2)), nullptr);
 
     const cache_stats stats = cache.stats();
@@ -68,7 +81,7 @@ TEST(ServeCache, CapacityBoundsEntriesWithFifoEviction) {
         cache.insert(key_of(n), value);
     }
     EXPECT_EQ(cache.find(key_of(1)), nullptr);
-    EXPECT_NE(held->sweep, nullptr); // still alive through our reference
+    EXPECT_TRUE(held->column.has_value()); // alive through our reference
 }
 
 TEST(ServeCache, DuplicateInsertKeepsIncumbent) {
@@ -81,18 +94,33 @@ TEST(ServeCache, DuplicateInsertKeepsIncumbent) {
     EXPECT_EQ(cache.find(key_of(7)), first);
 }
 
+TEST(ServeCache, DeeperColumnReplacesShallowerNeverTheReverse) {
+    result_cache cache{{2, 16}};
+    cache.insert(key_of(7), exact_value(4));
+    const auto deeper = exact_value(6);
+    cache.insert(key_of(7), deeper);
+    EXPECT_EQ(cache.find(key_of(7)), deeper);
+    cache.insert(key_of(7), exact_value(5));
+    EXPECT_EQ(cache.find(key_of(7)), deeper);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.stats().insertions, 1u); // replacements are not new keys
+}
+
 TEST(ServeCache, RejectsZeroShardsOrCapacity) {
     EXPECT_THROW((result_cache{{0, 16}}), std::invalid_argument);
     EXPECT_THROW((result_cache{{4, 0}}), std::invalid_argument);
 }
 
-TEST(ServeCache, PersistenceRoundTripsExactEntries) {
+TEST(ServeCache, PersistenceRoundTripsColumns) {
     result_cache cache{{4, 64}};
     cache.insert(key_of(1), exact_value());
     cache.insert(key_of(2), exact_value());
-    // An estimated entry must not be persisted.
+    // An estimated entry must not be persisted, nor the exact sweep a
+    // representative answer fell back to.
     auto estimated = std::make_shared<cached_value>();
     estimated->estimated = true;
+    estimated->fell_back_exact = true;
+    estimated->sweep = std::make_shared<const core::sweep_result>();
     cache.insert(key_of(3), estimated);
 
     std::ostringstream out;
@@ -108,11 +136,12 @@ TEST(ServeCache, PersistenceRoundTripsExactEntries) {
     EXPECT_EQ(restored.size(), 2u);
     const auto hit = restored.find(key_of(1));
     ASSERT_NE(hit, nullptr);
-    ASSERT_NE(hit->sweep, nullptr);
+    ASSERT_TRUE(hit->column.has_value());
     const auto original = cache.find(key_of(1));
-    EXPECT_EQ(hit->sweep->passes.size(), original->sweep->passes.size());
-    EXPECT_EQ(hit->sweep->passes[0].misses(3, 2),
-              original->sweep->passes[0].misses(3, 2));
+    EXPECT_EQ(hit->column->max_level(), original->column->max_level());
+    EXPECT_EQ(hit->column->requests(), original->column->requests());
+    EXPECT_EQ(hit->column->misses(3, 2),
+              original->column->misses(3, 2));
     EXPECT_EQ(restored.find(key_of(3)), nullptr);
 }
 
@@ -224,9 +253,9 @@ TEST(ServeCache, SalvageLoadRecoversVerifiedPrefixAtEveryCutPoint) {
                 continue;
             }
             ++found;
-            ASSERT_NE(hit->sweep, nullptr) << "cut at " << cut;
-            EXPECT_EQ(hit->sweep->passes[0].misses(3, 2),
-                      reference->sweep->passes[0].misses(3, 2));
+            ASSERT_TRUE(hit->column.has_value()) << "cut at " << cut;
+            EXPECT_EQ(hit->column->misses(3, 2),
+                      reference->column->misses(3, 2));
         }
         EXPECT_EQ(found, report.loaded) << "cut at " << cut;
     }
@@ -303,6 +332,130 @@ TEST(ServeCache, FooterDamageSalvagesEverythingButReportsIt) {
     EXPECT_EQ(report.skipped, 0u);
     EXPECT_TRUE(report.salvaged);
     EXPECT_FALSE(report.checksum_ok);
+}
+
+// --- Version 2 images ---------------------------------------------------------
+
+// The version 2 writer, kept here to produce v2 bytes: the v3 framing, but
+// each entry one whole exact request (its request key and its sweep).
+std::uint64_t checksum64(std::string_view data) {
+    std::uint64_t hash = 0xCBF29CE484222325ull;
+    for (const char c : data) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001B3ull;
+    }
+    return mix64(hash);
+}
+
+void put_u64(std::ostream& out, std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+        out.put(static_cast<char>((value >> (8 * i)) & 0xFF));
+    }
+}
+
+std::string v2_image(
+    const std::vector<std::pair<request_key, core::sweep_result>>& entries) {
+    std::ostringstream buffer;
+    buffer.write("DSCF", 4);
+    for (int i = 0; i < 4; ++i) {
+        buffer.put(static_cast<char>(i == 0 ? 2 : 0));
+    }
+    put_u64(buffer, entries.size());
+    for (const auto& [key, sweep] : entries) {
+        std::ostringstream entry;
+        put_u64(entry, key.trace.words[0]);
+        put_u64(entry, key.trace.words[1]);
+        put_u64(entry, key.request[0]);
+        put_u64(entry, key.request[1]);
+        core::write_binary_result(entry, sweep);
+        const std::string bytes = entry.str();
+        buffer << bytes;
+        put_u64(buffer, checksum64(bytes));
+    }
+    std::string body = buffer.str();
+    std::ostringstream footer;
+    put_u64(footer, checksum64(body));
+    return body + footer.str();
+}
+
+TEST(ServeCache, VersionTwoFastEntriesLoadAsColumnsAndCountedOnesAreSkipped) {
+    const trace::trace_digest digest{{11, 12}};
+    core::sweep_request fast;
+    fast.max_set_exp = 5;
+    fast.block_sizes = {16, 32};
+    fast.associativities = {2, 4};
+    const core::sweep_result fast_sweep = core::run_sweep(small_trace(), fast);
+    core::sweep_request counted = fast;
+    counted.block_sizes = {64};
+    counted.instrumentation = core::sweep_instrumentation::full_counters;
+    const core::sweep_result counted_sweep =
+        core::run_sweep(small_trace(), counted);
+    const std::string image = v2_image({{{digest, {1, 2}}, fast_sweep},
+                                        {{digest, {3, 4}}, counted_sweep}});
+
+    for (const load_mode mode : {load_mode::strict, load_mode::salvage}) {
+        result_cache cache{{4, 64}};
+        std::istringstream in{image};
+        const cache_load_report report = cache.load(in, mode);
+        EXPECT_EQ(report.loaded, 4u); // the fast entry's four passes
+        EXPECT_EQ(report.skipped, 1u); // the counted entry
+        EXPECT_FALSE(report.salvaged);
+        EXPECT_TRUE(report.checksum_ok);
+        EXPECT_EQ(cache.size(), 4u);
+        for (const core::dew_result& pass : fast_sweep.passes) {
+            const auto hit = cache.find(column_key(
+                digest, core::sweep_request{}, pass.block_size(),
+                pass.associativity()));
+            ASSERT_NE(hit, nullptr);
+            ASSERT_TRUE(hit->column.has_value());
+            ASSERT_EQ(hit->column->max_level(), fast.max_set_exp);
+            for (unsigned level = 0; level <= fast.max_set_exp; ++level) {
+                EXPECT_EQ(hit->column->misses(level, pass.associativity()),
+                          pass.misses(level, pass.associativity()));
+                EXPECT_EQ(hit->column->misses(level, 1),
+                          pass.misses(level, 1));
+            }
+        }
+        // The counted pass left no column, fast or counted.
+        EXPECT_EQ(cache.find(column_key(digest, core::sweep_request{}, 64, 2)),
+                  nullptr);
+        EXPECT_EQ(cache.find(column_key(digest, canonical(counted), 64, 2)),
+                  nullptr);
+    }
+
+    // A v2 image is framed like v3: a cut one is still strict-rejected.
+    result_cache victim{{4, 64}};
+    std::istringstream cut{image.substr(0, image.size() / 2)};
+    EXPECT_THROW((void)victim.load(cut), std::runtime_error);
+    EXPECT_EQ(victim.size(), 0u);
+}
+
+TEST(ServeCache, VersionThreeEntryMustHoldExactlyOneColumn) {
+    // A v3 header over a two-pass record: framed and checksummed, but not
+    // a column.
+    core::sweep_request request;
+    request.max_set_exp = 3;
+    request.block_sizes = {16};
+    request.associativities = {2, 4};
+    std::string image = v2_image(
+        {{key_of(1), core::run_sweep(small_trace(), request)}});
+    image[4] = 3;
+    // Re-seal the footer over the patched version byte.
+    image.resize(image.size() - 8);
+    std::ostringstream footer;
+    put_u64(footer, checksum64(image));
+    image += footer.str();
+
+    result_cache cache{{4, 64}};
+    std::istringstream in{image};
+    try {
+        (void)cache.load(in);
+        FAIL() << "a two-pass column entry was accepted";
+    } catch (const std::runtime_error& error) {
+        EXPECT_NE(std::string{error.what()}.find("not 1"), std::string::npos)
+            << error.what();
+    }
+    EXPECT_EQ(cache.size(), 0u);
 }
 
 } // namespace

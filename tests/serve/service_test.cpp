@@ -61,12 +61,14 @@ void expect_identical(const core::sweep_result& a,
 }
 
 TEST(Service, ExactAnswersAreBitIdenticalToRunSweepOnBothEngines) {
-    service svc{{2, 64, overflow_policy::block, {4, 64}}};
-    svc.add_trace("cjpeg", workload());
     const trace::mem_trace trace = workload();
 
     for (const core::sweep_engine engine :
          {core::sweep_engine::dew, core::sweep_engine::cipar}) {
+        // A fresh service per engine: fast requests of both engines share
+        // columns, so the second would be a cache hit.
+        service svc{{2, 64, overflow_policy::block, {4, 64}}};
+        svc.add_trace("cjpeg", workload());
         const service_request request = exact_request(engine);
         service_result answer = svc.submit("cjpeg", request).get();
         ASSERT_NE(answer.sweep, nullptr);
@@ -75,6 +77,27 @@ TEST(Service, ExactAnswersAreBitIdenticalToRunSweepOnBothEngines) {
         expect_identical(*answer.sweep,
                          core::run_sweep(trace, canonical(request).sweep));
     }
+}
+
+TEST(Service, FastCiparAfterFastDewOfOneGridIsACacheHit) {
+    service svc{};
+    svc.add_trace("cjpeg", workload());
+    const trace::mem_trace trace = workload();
+
+    const service_result dew_answer =
+        svc.submit("cjpeg", exact_request(core::sweep_engine::dew)).get();
+    EXPECT_FALSE(dew_answer.cache_hit);
+    // Fast miss counts are bit-identical across engines, so the CIPAR
+    // request is the same question and composes from the DEW columns.
+    const service_request cipar_request =
+        exact_request(core::sweep_engine::cipar);
+    const service_result cipar_answer =
+        svc.submit("cjpeg", cipar_request).get();
+    EXPECT_TRUE(cipar_answer.cache_hit);
+    ASSERT_NE(cipar_answer.sweep, nullptr);
+    expect_identical(*cipar_answer.sweep,
+                     core::run_sweep(trace, cipar_request.sweep));
+    EXPECT_EQ(svc.stats().computations, 1u);
 }
 
 TEST(Service, CountedInstrumentationFlowsThrough) {
@@ -106,7 +129,10 @@ TEST(Service, CacheHitsNeverRecomputeAndSpellingDoesNotMatter) {
     respelled.sweep.threads = 3;
     const service_result second = svc.submit("cjpeg", respelled).get();
     EXPECT_TRUE(second.cache_hit);
-    EXPECT_EQ(second.sweep, first.sweep); // literally the same object
+    // Composed from the cached columns, not a stored pointer: equal, not
+    // the same object.
+    ASSERT_NE(second.sweep, nullptr);
+    expect_identical(*second.sweep, *first.sweep);
     const service_stats stats = svc.stats();
     EXPECT_EQ(stats.computations, 1u);
     EXPECT_EQ(stats.cache_hits, 1u);
@@ -117,12 +143,13 @@ TEST(Service, CacheHitsNeverRecomputeAndSpellingDoesNotMatter) {
     svc.add_trace("alias", workload());
     EXPECT_TRUE(svc.submit("alias", request).get().cache_hit);
 
-    // An *uncached* request under the alias runs one shard job per block
-    // size, and each shard job decodes its own block size: nothing is
-    // retained between requests, so nothing is reused.
+    // An *uncached* request under the alias (deeper than every cached
+    // column) runs one shard job per block size, and each shard job
+    // decodes its own block size: no stream is retained between requests,
+    // so none is reused.
     const service_stats before = svc.stats();
     service_request fresh = request;
-    fresh.sweep.max_set_exp = 6;
+    fresh.sweep.max_set_exp = 8;
     EXPECT_FALSE(svc.submit("alias", fresh).get().cache_hit);
     const service_stats after = svc.stats();
     EXPECT_EQ(after.shard_jobs - before.shard_jobs, 2u);
@@ -219,15 +246,15 @@ TEST(Service, StreamBuildsCountOneDecodePerShardJob) {
     svc.add_trace("cjpeg", workload());
     service_request a = exact_request(); // blocks {16, 32}
     service_request b = exact_request();
-    b.sweep.max_set_exp = 6; // distinct request, same trace, same blocks
+    b.sweep.max_set_exp = 8; // deeper: both block sizes run again
     service_request c = exact_request();
-    c.sweep.block_sizes = {16, 64}; // 16 again: decoded again
+    c.sweep.block_sizes = {16, 64}; // 16 is cached: only 64 runs
     (void)svc.submit("cjpeg", a).get();
     (void)svc.submit("cjpeg", b).get();
     (void)svc.submit("cjpeg", c).get();
     const service_stats stats = svc.stats();
-    EXPECT_EQ(stats.shard_jobs, 6u);    // two block sizes per request
-    EXPECT_EQ(stats.stream_builds, 6u); // each shard job decodes its own
+    EXPECT_EQ(stats.shard_jobs, 5u);    // 2 + 2 + 1 block sizes missing
+    EXPECT_EQ(stats.stream_builds, 5u); // each shard job decodes its own
     EXPECT_EQ(stats.stream_reuses, 0u); // no stream outlives its shard
 }
 
@@ -338,10 +365,12 @@ TEST(Service, FailFastBackpressureThrowsServiceOverloaded) {
     svc.resume();
     EXPECT_NE(accepted.get().sweep, nullptr); // survivor completes
 
-    // A request needing more slots than the whole queue can never fit.
+    // A request needing more slots than the whole queue can never fit
+    // (deeper than the cached columns, so both block sizes are missing).
     svc.drain();
-    EXPECT_THROW((void)svc.submit("cjpeg", exact_request()),
-                 service_overloaded);
+    service_request wide = exact_request();
+    wide.sweep.max_set_exp = 8;
+    EXPECT_THROW((void)svc.submit("cjpeg", wide), service_overloaded);
 }
 
 TEST(Service, RejectsUnknownTracesAndContentConflicts) {
@@ -400,7 +429,7 @@ TEST(Service, CachePersistsAcrossServiceInstances) {
     restored.add_trace("cjpeg", workload());
     std::istringstream in{saved.str()};
     const cache_load_report report = restored.load_cache(in);
-    EXPECT_EQ(report.loaded, 1u);
+    EXPECT_EQ(report.loaded, 4u); // one column per (B, A) of the 2 x 2 grid
     EXPECT_EQ(report.skipped, 0u);
     EXPECT_FALSE(report.salvaged);
     EXPECT_TRUE(report.checksum_ok);

@@ -583,6 +583,61 @@ dew_walk_cost measure_dew_walk(const trace::mem_trace& trace) {
                 static_cast<double>(counted.counters().node_evaluations)};
 }
 
+// One fast B32 A4 pass at L = 18 over the micro trace on each engine, best
+// of json_repetitions, in milliseconds, decode and construction included:
+// the deep column where ROADMAP item 3 weighs DEW against CIPAR.  The two
+// engines' misses are asserted equal first.
+struct deep_column_cost {
+    double dew_ms{0.0};
+    double cipar_ms{0.0};
+};
+
+deep_column_cost measure_deep_column(const trace::mem_trace& trace) {
+    core::sweep_request request;
+    request.max_set_exp = 18;
+    request.block_sizes = {32};
+    request.associativities = {4};
+    core::sweep_request cipar_request = request;
+    cipar_request.engine = core::sweep_engine::cipar;
+    {
+        const core::dew_result dew = core::run_sweep(trace, request).passes[0];
+        const core::dew_result cipar =
+            core::run_sweep(trace, cipar_request).passes[0];
+        for (unsigned level = 0; level <= request.max_set_exp; ++level) {
+            DEW_ASSERT(dew.misses(level, 4) == cipar.misses(level, 4));
+            DEW_ASSERT(dew.misses(level, 1) == cipar.misses(level, 1));
+        }
+    }
+    const auto best_ms = [&trace](const core::sweep_request& r) {
+        double best = 1e300;
+        for (int rep = 0; rep < json_repetitions; ++rep) {
+            const auto t0 = std::chrono::steady_clock::now();
+            const core::sweep_result result = core::run_sweep(trace, r);
+            const auto t1 = std::chrono::steady_clock::now();
+            DEW_ASSERT(result.requests == trace.size());
+            best = std::min(best,
+                            std::chrono::duration<double>(t1 - t0).count());
+        }
+        return best * 1e3;
+    };
+    return {best_ms(request), best_ms(cipar_request)};
+}
+
+// Bytes of records the paper grid's fast passes hold (tag arenas and
+// cursors, MRA planes excluded), in MiB.  A function of the layout alone.
+double paper_grid_fast_record_mib() {
+    const core::sweep_request request = core::sweep_request::paper();
+    std::size_t bytes = 0;
+    for (const std::uint32_t block : request.block_sizes) {
+        for (const std::uint32_t assoc : request.associativities) {
+            const core::basic_dew_pass<core::fast> pass{request.max_set_exp,
+                                                        assoc, block};
+            bytes += pass.tree().storage_bytes();
+        }
+    }
+    return static_cast<double>(bytes) / (1024.0 * 1024.0);
+}
+
 void write_micro_json() {
     const trace::mem_trace& trace = bench_trace();
 
@@ -640,6 +695,8 @@ void write_micro_json() {
         (serving.storm.seconds + serving.replay.seconds);
     const double paper_sweep_ms = measure_paper_sweep_ms(trace);
     const dew_walk_cost walk = measure_dew_walk(trace);
+    const deep_column_cost deep = measure_deep_column(trace);
+    const double record_mib = paper_grid_fast_record_mib();
 
     std::FILE* out = std::fopen("BENCH_micro.json", "w");
     if (out == nullptr) {
@@ -758,7 +815,11 @@ void write_micro_json() {
                  walk.stage1_ns_per_access);
     std::fprintf(out, "  \"dew_stage2_ns_per_access\": %.3f,\n",
                  walk.stage2_ns_per_access);
-    std::fprintf(out, "  \"dew_ns_per_node\": %.3f\n", walk.ns_per_node);
+    std::fprintf(out, "  \"dew_ns_per_node\": %.3f,\n", walk.ns_per_node);
+    std::fprintf(out, "  \"dew_fast_l18_ms\": %.2f,\n", deep.dew_ms);
+    std::fprintf(out, "  \"cipar_fast_l18_ms\": %.2f,\n", deep.cipar_ms);
+    std::fprintf(out, "  \"paper_grid_fast_record_mib\": %.3f\n",
+                 record_mib);
     std::fprintf(out, "}\n");
     std::fclose(out);
 
@@ -798,6 +859,9 @@ void write_micro_json() {
                 json_max_level, json_assoc, json_block,
                 walk.stage1_ns_per_access, walk.stage2_ns_per_access,
                 walk.ns_per_node);
+    std::printf("deep column (L 18, A 4, B 32): dew %.2f ms, cipar %.2f ms; "
+                "paper grid fast records %.3f MiB\n",
+                deep.dew_ms, deep.cipar_ms, record_mib);
     std::printf("sweep memory: eager %.1f B/ref vs streaming %.2f B/ref "
                 "(x%.0f smaller), throughput %.2fM vs %.2fM acc/s\n\n",
                 sweeps.eager.peak_bytes_per_ref,

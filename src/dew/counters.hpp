@@ -42,13 +42,12 @@ struct dew_counters {
 };
 
 // --- Instrumentation policies -----------------------------------------------
-// basic_dew_simulator is templated on one of these.  The policy decides at
-// compile time whether the ~10 per-access counter bumps above exist at all:
-// with `fast` every `if constexpr (counted)` block in the simulator compiles
-// to nothing, so production sweeps pay zero instrumentation cost, while
-// `full_counters` keeps the exact Table-3/Table-4 bookkeeping for the benches
-// and ablations.  Both policies produce bit-identical miss counts — the
-// equivalence test suite proves it.
+// basic_dew_simulator is templated on one of these.  The policy picks the
+// walk at compile time: `full_counters` runs the paper's walk with the exact
+// Table-3/Table-4 bookkeeping for the benches and ablations, while `fast`
+// runs a tags-only walk with no counters at all, so production sweeps pay
+// zero instrumentation cost (dew/simulator.hpp).  Both policies produce
+// bit-identical miss counts — the equivalence test suite proves it.
 
 // Full bookkeeping: the simulator owns a dew_counters and updates it on the
 // hot path exactly as the seed implementation did.

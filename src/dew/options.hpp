@@ -1,7 +1,9 @@
 // Feature switches for DEW's optimisation properties (Section 3.2 of the
 // paper).  All switches default to on — that is DEW.  Turning one off keeps
 // the simulation exact (the test suite proves it) but costs comparisons,
-// which is precisely what Table 4 and the ablation bench measure.
+// which is precisely what Table 4 and the ablation bench measure.  They
+// shape the counted walk only: the fast walk counts no comparisons and
+// ignores them (dew/simulator.hpp).
 #ifndef DEW_DEW_OPTIONS_HPP
 #define DEW_DEW_OPTIONS_HPP
 

@@ -66,7 +66,8 @@ private:
 // Instantiates the pass the request selects: engine (dew | cipar) crossed
 // with instrumentation (fast | full_counters), covering set counts
 // 2^0..2^max_set_exp at the given block size and associativity.
-// request.options apply to the DEW engine only.
+// request.options apply to counted DEW passes only; the fast walk ignores
+// them (dew/simulator.hpp).
 std::unique_ptr<detail::sweep_pass>
 make_sweep_pass(const sweep_request& request, std::uint32_t block_size,
                 std::uint32_t assoc) {
@@ -193,10 +194,13 @@ session::session(trace::source& src, const sweep_request& request,
     streams_.resize(live_streams);
     walks_.resize(stream_block_sizes_.size());
     if (request_.engine == sweep_engine::dew) {
+        // Fast passes always walk with the MRA stop.
+        const bool mra_stop =
+            request_.instrumentation == sweep_instrumentation::fast ||
+            request_.options.use_mra_stop;
         stages_.reserve(stream_block_sizes_.size());
         for (std::size_t s = 0; s < stream_block_sizes_.size(); ++s) {
-            stages_.emplace_back(request_.max_set_exp,
-                                 request_.options.use_mra_stop);
+            stages_.emplace_back(request_.max_set_exp, mra_stop);
         }
         walk_buffers_.resize(live_streams);
     }

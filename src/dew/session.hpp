@@ -52,12 +52,15 @@ struct session_options {
     //   chunk_records * (sizeof(mem_access) + 13 * live streams)
     // bytes (see buffer_bytes()): per live stream and record, an 8-byte
     // block number and, for the DEW engine, stage 1's 1-byte depth and
-    // 4-byte survivor slot (a 4-byte miss mask instead when use_mra_stop is
-    // off).  DEW-engine simulator state — the records of every pass plus
-    // one shared MRA plane per block size — is O(2^max_set_exp) and
-    // independent of both the chunk and the trace length; the cipar engine
-    // additionally keeps one presence map per pass that grows with the
-    // distinct blocks the trace touches (see sweep_engine in
+    // 4-byte survivor slot (a 4-byte miss mask instead in a counted sweep
+    // with use_mra_stop off).  DEW-engine simulator state — the records of
+    // every pass plus one shared 8-byte-per-node MRA plane per block size —
+    // is O(2^max_set_exp) and independent of both the chunk and the trace
+    // length.  Per node, a fast pass holds 8 * A bytes of tags plus a
+    // 4-byte FIFO cursor; a counted pass holds dew_tree's record (cursors,
+    // ways and victim buffer with wave pointers, dew/tree.hpp).  The cipar
+    // engine additionally keeps one presence map per pass that grows with
+    // the distinct blocks the trace touches (see sweep_engine in
     // dew/sweep.hpp).  Must be > 0.
     std::size_t chunk_records{std::size_t{64} * 1024};
 };

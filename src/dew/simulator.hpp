@@ -15,10 +15,10 @@
 //
 // The walk runs in two stages.  Stage 1 (dew/mra_stage.hpp) walks the MRA
 // plane and decides, per access, how deep the walk goes; stage 2
-// (basic_dew_pass below) resolves exactly those levels in the A-way record
-// arena: wave check, victim probe, search, insert.  basic_dew_simulator
-// runs both on its own chunks of the trace; dew::session runs stage 1 once
-// per block size and stage 2 once per (block size, associativity).
+// (basic_dew_pass below) resolves exactly those levels in the pass's A-way
+// records.  basic_dew_simulator runs both on its own chunks of the trace;
+// dew::session runs stage 1 once per block size and stage 2 once per
+// (block size, associativity).
 //
 // Why each property is sound under FIFO:
 //  * MRA stop (P2): if the request equals node.mra, the *previous* request
@@ -41,15 +41,23 @@
 //    library generalises the entry to a k-deep victim buffer
 //    (dew_options::mre_depth; k = 1 is the paper, bit-for-bit).
 //
-// Instrumentation is a compile-time policy (see dew/counters.hpp): the
-// class is templated on `full_counters` (exact Table-3/4 bookkeeping) or
-// `fast` (every counter update compiles to nothing).  Both produce
-// bit-identical miss counts; `dew_simulator` keeps the counted behaviour
-// the benches and ablations rely on, `fast_dew_simulator` is the
-// production hot path that run_sweep and the examples default to.  A
-// counted pass is charged the MRA probes, hits and node evaluations stage 1
-// made for it, so its counters equal those of a walk that probed its own
-// plane.
+// Instrumentation is a compile-time policy (see dew/counters.hpp), and each
+// policy has its own stage 2:
+//  * `full_counters` (`dew_simulator`) is the paper's algorithm: the
+//    P2+P3+P4 walk over dew_tree's records, every switch of dew_options
+//    honoured, with the exact Table-3/4 bookkeeping.  It is the reference
+//    the fast walk is proven against.  A counted pass is charged the MRA
+//    probes, hits and node evaluations stage 1 made for it, so its counters
+//    equal those of a walk that probed its own plane.
+//  * `fast` (`fast_dew_simulator`, what run_sweep and the examples default
+//    to) walks a tag_arena: at each level stage 1 left, one branchless scan
+//    of the A tags, and on a miss a store at the FIFO cursor.  P3 and P4
+//    save tag comparisons, which only the counted policy reports; as
+//    records they cost more memory traffic than the comparisons they save
+//    (docs/PERF.md, layer 1).  The fast policy therefore ignores
+//    dew_options: it always runs stage 1 with the MRA stop, and any options
+//    give the same misses bit for bit.
+// Both policies produce bit-identical miss counts.
 #ifndef DEW_DEW_SIMULATOR_HPP
 #define DEW_DEW_SIMULATOR_HPP
 
@@ -75,17 +83,21 @@
 namespace dew::core {
 
 // Stage 2 of the walk for one (block size, associativity) pass: the A-way
-// record arena, its per-level misses and its counters.  It consumes stage
-// 1's output (mra_walks) for its block size; the direct-mapped misses come
-// from there too.
+// records, its per-level misses and its counters.  It consumes stage 1's
+// output (mra_walks) for its block size; the direct-mapped misses come from
+// there too.  The records are a dew_tree under `full_counters` and a
+// tag_arena under `fast` (dew/tree.hpp).
 template <class Instrumentation = full_counters>
 class basic_dew_pass {
 public:
     // True when this instantiation maintains dew_counters on the hot path.
     static constexpr bool counted = Instrumentation::counted;
 
+    using records_type = std::conditional_t<counted, dew_tree, tag_arena>;
+
     // Set counts 2^0..2^max_level at associativities {1, assoc} and block
-    // size block_size (bytes, power of two).
+    // size block_size (bytes, power of two).  `options` are validated under
+    // both policies but only the counted walk uses them.
     basic_dew_pass(unsigned max_level, std::uint32_t assoc,
                    std::uint32_t block_size, dew_options options = {});
 
@@ -112,8 +124,10 @@ public:
     [[nodiscard]] unsigned max_level() const noexcept { return max_level_; }
     [[nodiscard]] std::uint32_t associativity() const noexcept { return assoc_; }
     [[nodiscard]] std::uint32_t block_size() const noexcept { return block_size_; }
+    // The options the walk runs under: the constructor's under
+    // `full_counters`, the defaults (DEW, MRA stop on) under `fast`.
     [[nodiscard]] const dew_options& options() const noexcept { return options_; }
-    [[nodiscard]] const dew_tree& tree() const noexcept { return tree_; }
+    [[nodiscard]] const records_type& tree() const noexcept { return tree_; }
 
     // Reset the records and all counters to the cold state.
     void reset();
@@ -133,10 +147,15 @@ private:
     // off the path is fetched.  Distances 4 and 16 measured 1-2% slower on
     // the paper grid (docs/PERF.md, layer 5).
     static constexpr std::size_t prefetch_distance = 8;
-    // Levels 0..9 hold at most 1023 records, which stay cached across
-    // walks; prefetching them too cost 17-23% on the paper grid and on
-    // shallow shapes.
+    // Records of the shallow levels stay cached across walks and are not
+    // prefetched: levels 0..9 of the counted walk (at most 1023 records;
+    // prefetching them too cost 17-23% on the paper grid and on shallow
+    // shapes), and levels 0..11 of the fast walk, whose records are
+    // 1.7-2.5x smaller (starting at 10, 11 or 13 instead measured within
+    // the noise on mpeg2_dec and g721_enc, and up to 1.13x as long on
+    // cjpeg; docs/PERF.md, layer 5).
     static constexpr unsigned first_prefetched_level = 10;
+    static constexpr unsigned fast_first_prefetched_level = 12;
 
     DEW_NOINLINE static unsigned validate_construction(
         unsigned max_level, std::uint32_t assoc, std::uint32_t block_size,
@@ -146,6 +165,15 @@ private:
         DEW_EXPECTS(is_pow2(block_size));
         DEW_EXPECTS(!options.use_mre || options.mre_depth >= 1);
         return max_level;
+    }
+
+    static records_type make_records(unsigned max_level, std::uint32_t assoc,
+                                     const dew_options& options) {
+        if constexpr (counted) {
+            return dew_tree{max_level, assoc, options.effective_mre_depth()};
+        } else {
+            return tag_arena{max_level, assoc};
+        }
     }
 
     // Associativity is a loop bound in the search and a mask in the FIFO
@@ -192,7 +220,7 @@ private:
         return f(std::false_type{});
     }
 
-    // The record walk of one access (Algorithms 1 and 2) through levels
+    // The counted walk of one access (Algorithms 1 and 2) through levels
     // 0..end-1; without the MRA stop, levels whose bit is clear in
     // `miss_mask` were MRA hits.  Force-inlined into run_walks: as a
     // standalone call the walk reloads members (options, tree base, stride,
@@ -206,11 +234,15 @@ private:
                                       std::uint64_t block, unsigned end,
                                       std::uint32_t miss_mask);
 
-    // The whole-chunk loop of one static specialisation.  noinline keeps
-    // each specialisation a compact standalone function.
+    // The counted walk's whole-chunk loop of one static specialisation.
+    // noinline keeps each specialisation a compact standalone function.
     template <std::uint32_t StaticAssoc, std::uint32_t StaticDepth,
               bool AllOpts>
     DEW_NOINLINE void run_walks(const mra_walks& walks);
+
+    // The fast walk's whole-chunk loop over the tag arena.
+    template <std::uint32_t StaticAssoc>
+    DEW_NOINLINE void run_fast_walks(const mra_walks& walks);
 
     // Request bookkeeping, hoisted out of the per-access walk: one bulk
     // update per chunk instead of a member read-modify-write per access.
@@ -228,7 +260,7 @@ private:
     }
 
     // Scans the node's victim buffer for `block` (Property 4, generalised
-    // to mre_depth entries), counting comparisons under `full_counters`.
+    // to mre_depth entries), counting its comparisons.
     template <std::uint32_t StaticDepth>
     DEW_ALWAYS_INLINE std::uint32_t probe_victims(node_ref node, std::uint64_t block);
 
@@ -245,11 +277,11 @@ private:
     std::uint32_t assoc_;
     std::uint32_t way_mask_; // assoc - 1
     std::uint32_t block_size_;
+    dew_options options_;
     // options_.effective_mre_depth(), cached so the per-access loops never
     // re-derive it.
     std::uint32_t mre_depth_;
-    dew_options options_;
-    dew_tree tree_;
+    records_type tree_;
     // Empty under the `fast` policy; [[no_unique_address]] keeps it free.
     [[no_unique_address]] Instrumentation instrumentation_{};
     std::uint64_t requests_{0};
@@ -313,8 +345,8 @@ public:
     [[nodiscard]] const dew_options& options() const noexcept {
         return pass_.options();
     }
-    // The record arena (stage 2) and the MRA plane (stage 1).
-    [[nodiscard]] const dew_tree& tree() const noexcept { return pass_.tree(); }
+    // The records (stage 2) and the MRA plane (stage 1).
+    [[nodiscard]] const auto& tree() const noexcept { return pass_.tree(); }
     [[nodiscard]] const mra_stage& stage() const noexcept { return stage_; }
 
     // Reset the plane, the records and all counters to the cold state.
@@ -357,9 +389,9 @@ basic_dew_pass<Instrumentation>::basic_dew_pass(unsigned max_level,
       assoc_{assoc},
       way_mask_{assoc - 1},
       block_size_{block_size},
-      mre_depth_{options.effective_mre_depth()},
-      options_{options},
-      tree_{max_level, assoc, options.effective_mre_depth()},
+      options_{counted ? options : dew_options{}},
+      mre_depth_{options_.effective_mre_depth()},
+      tree_{make_records(max_level, assoc, options_)},
       misses_assoc_(max_level + 1, 0),
       misses_dm_(max_level + 1, 0) {}
 
@@ -368,7 +400,7 @@ basic_dew_simulator<Instrumentation>::basic_dew_simulator(
     unsigned max_level, std::uint32_t assoc, std::uint32_t block_size,
     dew_options options)
     : pass_{max_level, assoc, block_size, options},
-      stage_{max_level, options.use_mra_stop},
+      stage_{max_level, pass_.options().use_mra_stop},
       block_bits_{log2_exact(block_size)},
       scratch_(stage_chunk) {}
 
@@ -385,14 +417,20 @@ void basic_dew_pass<Instrumentation>::walk(const mra_walks& walks) {
         instrumentation_.counters.node_evaluations += walks.node_visits;
         instrumentation_.counters.tag_comparisons += walks.node_visits;
         instrumentation_.counters.mra_hits += walks.mra_hits;
-    }
-    with_static_assoc(assoc_, [&](auto a) {
-        with_static_depth(mre_depth_, [&](auto d) {
-            with_static_options(options_, [&](auto o) {
-                this->template run_walks<a(), d(), o()>(walks);
+        with_static_assoc(assoc_, [&](auto a) {
+            with_static_depth(mre_depth_, [&](auto d) {
+                with_static_options(options_, [&](auto o) {
+                    this->template run_walks<a(), d(), o()>(walks);
+                });
             });
         });
-    });
+    } else {
+        // The fast walk reads each access's stop depth (the MRA stop).
+        DEW_EXPECTS(walks.blocks.empty() || walks.depth != nullptr);
+        with_static_assoc(assoc_, [&](auto a) {
+            this->template run_fast_walks<a()>(walks);
+        });
+    }
 }
 
 // The record walk and the chunk loops: every instruction here runs once per
@@ -432,6 +470,64 @@ void basic_dew_pass<Instrumentation>::run_walks(const mra_walks& walks) {
     }
 }
 
+// The fast walk: per access, levels 0..depth-1, each resolved by a scan of
+// the node's A tags.  Levels are independent here (no wave pointer links a
+// node to its parent), so a level only reads and writes its own node.
+template <class Instrumentation>
+template <std::uint32_t StaticAssoc>
+void basic_dew_pass<Instrumentation>::run_fast_walks(const mra_walks& walks) {
+    const std::uint32_t assoc = StaticAssoc == 0 ? assoc_ : StaticAssoc;
+    const std::uint32_t way_mask = assoc - 1;
+    // A node's tags span this many 64-byte lines (a smaller node never
+    // straddles one: the arena is line-aligned and 8 * A divides 64).
+    const std::size_t tag_lines = std::max<std::size_t>(assoc / 8, 1);
+    const std::uint64_t* const blocks = walks.blocks.data();
+    const std::uint8_t* const depth = walks.depth;
+    const std::size_t count = walks.blocks.size();
+    const tag_arena::walker records = tree_.make_walker();
+    std::uint64_t* const tags = records.tags;
+    std::uint32_t* const cursors = records.cursors;
+    std::uint64_t* const misses = misses_assoc_.data();
+    for (std::size_t k = 0; k < count; ++k) {
+        if (k + prefetch_distance < count) {
+            const std::size_t ahead = k + prefetch_distance;
+            const std::uint64_t block = blocks[ahead];
+            for (unsigned level = fast_first_prefetched_level;
+                 level < depth[ahead]; ++level) {
+                const std::uint64_t bit = std::uint64_t{1} << level;
+                const std::uint64_t slot = bit - 1 + (block & (bit - 1));
+                const std::uint64_t* const set = tags + slot * assoc;
+                for (std::size_t line = 0; line < tag_lines; ++line) {
+                    prefetch_for_write(set + line * 8);
+                }
+                prefetch_for_write(cursors + slot);
+            }
+        }
+        const std::uint64_t block = blocks[k];
+        const unsigned end = depth[k];
+        std::uint64_t slot = 0;
+        std::uint64_t bit = 1;
+        for (unsigned level = 0; level < end;
+             ++level, slot += bit + (block & bit), bit <<= 1) {
+            std::uint64_t* const set = tags + slot * assoc;
+            // Branchless: an empty way holds invalid_tag, which no real
+            // block number equals (stage 1 rejects it).
+            bool hit = false;
+            for (std::uint32_t way = 0; way < assoc; ++way) {
+                hit |= set[way] == block;
+            }
+            if (!hit) {
+                // FIFO: cold ways fill in order, then replacement is
+                // round-robin from the cursor.
+                const std::uint32_t victim = cursors[slot];
+                set[victim] = block;
+                cursors[slot] = (victim + 1) & way_mask;
+                ++misses[level];
+            }
+        }
+    }
+}
+
 // Scans the node's victim buffer for `block`, counting one tag comparison
 // per valid entry examined.  Returns the matching slot or `no_victim_match`.
 template <class Instrumentation>
@@ -441,30 +537,16 @@ basic_dew_pass<Instrumentation>::probe_victims(node_ref node,
                                                std::uint64_t block) {
     const std::uint32_t depth =
         StaticDepth == runtime_depth ? mre_depth_ : StaticDepth;
-    if constexpr (counted) {
-        for (std::uint32_t slot = 0; slot < depth; ++slot) {
-            if (node.victims[slot].tag == cache::invalid_tag) {
-                continue; // never filled: no comparison performed
-            }
-            ++instrumentation_.counters.tag_comparisons;
-            if (node.victims[slot].tag == block) {
-                return slot;
-            }
+    for (std::uint32_t slot = 0; slot < depth; ++slot) {
+        if (node.victims[slot].tag == cache::invalid_tag) {
+            continue; // never filled: no comparison performed
         }
-        return no_victim_match;
-    } else {
-        // Branchless scan.  A never-filled slot holds invalid_tag, which no
-        // real block number equals (stage 1 rejects it), so comparing
-        // unconditionally is safe; a buffered tag appears at most once (the
-        // swap removes it on re-fetch), so any match is the match.  The
-        // conditional select compiles to cmov — no data-dependent branch,
-        // where the valid-prefix loop above mispredicts on buffer state.
-        std::uint32_t matched = no_victim_match;
-        for (std::uint32_t slot = 0; slot < depth; ++slot) {
-            matched = node.victims[slot].tag == block ? slot : matched;
+        ++instrumentation_.counters.tag_comparisons;
+        if (node.victims[slot].tag == block) {
+            return slot;
         }
-        return matched;
     }
+    return no_victim_match;
 }
 
 template <class Instrumentation>
@@ -489,9 +571,7 @@ std::uint32_t basic_dew_pass<Instrumentation>::insert_on_miss(
         matched_slot = probe_victims<StaticDepth>(node, block);
         if (matched_slot != no_victim_match) {
             known = mre_knowledge::matched;
-            if constexpr (counted) {
-                ++instrumentation_.counters.mre_swaps;
-            }
+            ++instrumentation_.counters.mre_swaps;
         }
     }
 
@@ -566,21 +646,15 @@ void basic_dew_pass<Instrumentation>::walk_block(
             parent_entry->wave != empty_wave) {
             const std::uint32_t pointed = parent_entry->wave;
             DEW_ASSERT(pointed < assoc);
-            if constexpr (counted) {
-                ++instrumentation_.counters.wave_checks;
-                ++instrumentation_.counters.tag_comparisons;
-            }
+            ++instrumentation_.counters.wave_checks;
+            ++instrumentation_.counters.tag_comparisons;
             determined = true;
             if (node.ways[pointed].tag == block) {
-                if constexpr (counted) {
-                    ++instrumentation_.counters.wave_hit_determinations;
-                }
+                ++instrumentation_.counters.wave_hit_determinations;
                 hit = true;
                 way = pointed;
             } else {
-                if constexpr (counted) {
-                    ++instrumentation_.counters.wave_miss_determinations;
-                }
+                ++instrumentation_.counters.wave_miss_determinations;
                 ++misses_assoc_[level];
                 way = insert_on_miss<StaticAssoc, StaticDepth, AllOpts>(
                     node, block, mre_knowledge::unknown);
@@ -595,43 +669,26 @@ void basic_dew_pass<Instrumentation>::walk_block(
                 matched_slot = probe_victims<StaticDepth>(node, block);
             }
             if (matched_slot != no_victim_match) {
-                if constexpr (counted) {
-                    ++instrumentation_.counters.mre_determinations;
-                }
+                ++instrumentation_.counters.mre_determinations;
                 ++misses_assoc_[level];
                 way = insert_on_miss<StaticAssoc, StaticDepth, AllOpts>(
                     node, block, mre_knowledge::matched, matched_slot);
             } else {
-                // Full tag-list search.
+                // Full tag-list search.  Valid entries form a prefix under
+                // FIFO fill, and skipped invalid ways cost no comparison —
+                // the exact Table-3 counting convention.
                 bool found = false;
-                if constexpr (counted) {
-                    // Valid entries form a prefix under FIFO fill, and
-                    // skipped invalid ways cost no comparison — the exact
-                    // Table-3 counting convention.
-                    ++instrumentation_.counters.searches;
-                    for (std::uint32_t i = 0; i < assoc; ++i) {
-                        if (node.ways[i].tag == cache::invalid_tag) {
-                            continue;
-                        }
-                        ++instrumentation_.counters.tag_comparisons;
-                        if (node.ways[i].tag == block) {
-                            found = true;
-                            way = i;
-                            break;
-                        }
+                ++instrumentation_.counters.searches;
+                for (std::uint32_t i = 0; i < assoc; ++i) {
+                    if (node.ways[i].tag == cache::invalid_tag) {
+                        continue;
                     }
-                } else {
-                    // Branchless scan of all A ways: invalid_tag never
-                    // equals a real block number and resident tags are
-                    // distinct, so unconditional compares plus a cmov
-                    // select find the same way without the early-exit
-                    // branches (which mispredict on cache contents).
-                    std::uint32_t matched = assoc;
-                    for (std::uint32_t i = 0; i < assoc; ++i) {
-                        matched = node.ways[i].tag == block ? i : matched;
+                    ++instrumentation_.counters.tag_comparisons;
+                    if (node.ways[i].tag == block) {
+                        found = true;
+                        way = i;
+                        break;
                     }
-                    found = matched != assoc;
-                    way = found ? matched : 0;
                 }
                 if (found) {
                     hit = true;

@@ -68,6 +68,10 @@ struct sweep_request {
     // power of two, associativity 1 rides along and need not be listed.
     std::vector<std::uint32_t> block_sizes{4, 8, 16, 32, 64};
     std::vector<std::uint32_t> associativities{2, 4, 8, 16};
+    // Property switches of counted DEW passes (instrumentation
+    // full_counters).  Fast passes ignore them: their walk has no wave
+    // pointer or victim buffer and always takes the MRA stop, so any
+    // options give the default's misses (dew/simulator.hpp).
     dew_options options{};
     // Worker threads; 0 = serial in the calling thread.  Results are
     // bit-identical regardless (the session suite proves it), hence
@@ -76,9 +80,8 @@ struct sweep_request {
     unsigned threads{0};
     // Instrumentation policy of every pass; fast = zero-overhead hot loop.
     sweep_instrumentation instrumentation{sweep_instrumentation::fast};
-    // Simulation engine of every pass (see sweep_engine above).  dew_options
-    // apply to the DEW engine only; the CIPAR engine has no property
-    // switches.
+    // Simulation engine of every pass (see sweep_engine above).  The CIPAR
+    // engine has no property switches.
     sweep_engine engine{sweep_engine::dew};
 
     // The paper's Table 1 space: S = 2^0..2^14, B = 2^0..2^6, A = 2^0..2^4.

@@ -1,5 +1,6 @@
 #include "dew/tree.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <new>
 
@@ -16,6 +17,17 @@ namespace {
 unsigned checked_max_level(unsigned max_level) {
     DEW_EXPECTS(max_level < 32);
     return max_level;
+}
+
+// Likewise before the tag arena is sized by it.
+std::uint32_t checked_associativity(std::uint32_t associativity) {
+    DEW_EXPECTS(is_pow2(associativity));
+    return associativity;
+}
+
+// Nodes of levels 0..max_level.
+std::uint64_t tree_nodes(unsigned max_level) {
+    return (std::uint64_t{1} << (max_level + 1)) - 1;
 }
 
 } // namespace
@@ -87,6 +99,17 @@ std::uint64_t dew_tree::paper_bits_total() const noexcept {
         total += paper_bits_per_level(level);
     }
     return total;
+}
+
+tag_arena::tag_arena(unsigned max_level, std::uint32_t associativity)
+    : tags_(tree_nodes(checked_max_level(max_level)) *
+                checked_associativity(associativity),
+            cache::invalid_tag),
+      cursors_(tree_nodes(max_level), 0) {}
+
+void tag_arena::clear() {
+    std::fill(tags_.begin(), tags_.end(), cache::invalid_tag);
+    std::fill(cursors_.begin(), cursors_.end(), 0);
 }
 
 } // namespace dew::core

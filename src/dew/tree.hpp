@@ -6,26 +6,27 @@
 // bit per level, so a block's root-to-leaf path is implicit in its address
 // and the tree needs no child pointers at all.
 //
-// Per node (paper layout): the MRA tag, the MRE tag with its wave pointer,
-// and A tag-list entries of (tag, wave pointer) — 96 + 64*A bits.  The wave
-// pointer of an entry holding tag t names the way t occupied in the *child
-// node on t's path* when t last descended through it; `empty_wave` means
-// unknown.  FIFO never moves a resident block between ways, which is what
-// makes a stored way index trustworthy until eviction.
+// Two record stores share that implicit layout, one per instrumentation
+// policy of basic_dew_pass (dew/simulator.hpp).  Neither holds the MRA tag:
+// it is the same for every associativity, so it lives in the dense plane of
+// the shared stage 1 (dew/mra_stage.hpp), which runs once per block size.
 //
-// Storage layout: one packed per-node record of the FIFO/victim cursors,
-// the A way entries, then the victim buffer, at a fixed runtime stride.  The
-// MRA tag is not here: it is the same for every associativity, so it lives
-// in the dense plane of the shared stage 1 (dew/mra_stage.hpp), which runs
-// once per block size.  A record is only touched when the walk has to
+// dew_tree is the paper's node, for the counted policy.  Per node: the MRE
+// tag with its wave pointer and A tag-list entries of (tag, wave pointer) —
+// with the MRA tag, 96 + 64*A bits.  The wave pointer of an entry holding
+// tag t names the way t occupied in the *child node on t's path* when t
+// last descended through it; `empty_wave` means unknown.  FIFO never moves
+// a resident block between ways, which is what makes a stored way index
+// trustworthy until eviction.  Storage: one packed record per node of the
+// FIFO/victim cursors, the A way entries, then the victim buffer, at a
+// fixed runtime stride.  A record is only touched when the walk has to
 // resolve an A-way set (a DM miss at that node), and then the cursor, tag
 // list and victim buffer are needed together: one stride computation into
 // one allocation, one or two adjacent lines.  The stride rounds the record
 // up to 32 bytes inside a 64-byte-aligned arena; rounding all the way to 64
 // was measured slower (a 4-way record is 88 bytes — padding to 128 costs a
-// third more footprint and misses than it saves in alignment).
-//
-// The seed layout segmented one logical node across three parallel vectors
+// third more footprint and misses than it saves in alignment).  The seed
+// layout segmented one logical node across three parallel vectors
 // (headers, ways, victims), so resolving one set gathered three distant
 // lines; bench/seed_baseline.hpp preserves that layout as the perf
 // baseline.
@@ -37,6 +38,12 @@
 // without a search and preserve more wave pointers across evict/re-fetch
 // cycles, at one extra comparison per probed entry.  The ablation bench
 // measures the trade.
+//
+// tag_arena is the fast policy's store: the A tags of every node and
+// nothing else (8*A bytes, so an A = 8 node is one 64-byte line), plus one
+// FIFO cursor per node in a dense side array.  Without wave pointers and a
+// victim buffer a set is resolved by one scan of its tags; docs/PERF.md
+// (layer 3) gives the measured trade.
 #ifndef DEW_DEW_TREE_HPP
 #define DEW_DEW_TREE_HPP
 
@@ -44,6 +51,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include "cache/set_model.hpp" // invalid_tag
 #include "common/hints.hpp"
@@ -216,6 +224,72 @@ private:
     // single provided-storage region, so a record never straddles distinct
     // storage objects).
     arena_ptr storage_;
+};
+
+namespace detail {
+
+// A std::vector allocator whose element 0 starts a 64-byte cache line.
+template <class T>
+struct line_allocator {
+    using value_type = T;
+    static constexpr std::align_val_t alignment{64};
+
+    line_allocator() = default;
+    template <class U>
+    explicit line_allocator(const line_allocator<U>& /*other*/) noexcept {}
+
+    [[nodiscard]] T* allocate(std::size_t count) {
+        return static_cast<T*>(::operator new(count * sizeof(T), alignment));
+    }
+    void deallocate(T* pointer, std::size_t /*count*/) noexcept {
+        ::operator delete(pointer, alignment);
+    }
+    friend bool operator==(const line_allocator&,
+                           const line_allocator&) noexcept {
+        return true;
+    }
+};
+
+} // namespace detail
+
+// The fast policy's records (see the top of this file).
+class tag_arena {
+public:
+    // Levels 0..max_level inclusive; every node has `associativity` ways.
+    tag_arena(unsigned max_level, std::uint32_t associativity);
+
+    // The arena base and cursor array as plain pointers for the walk's
+    // inner loop: node `slot`'s tags are tags[slot * A .. slot * A + A), its
+    // FIFO cursor is cursors[slot].
+    struct walker {
+        std::uint64_t* tags;
+        std::uint32_t* cursors;
+    };
+    [[nodiscard]] walker make_walker() noexcept {
+        return {tags_.data(), cursors_.data()};
+    }
+
+    [[nodiscard]] std::uint64_t node_count() const noexcept {
+        return cursors_.size();
+    }
+
+    // 8 * A bytes per node; the cursors add 4 bytes per node.
+    [[nodiscard]] std::size_t tag_bytes() const noexcept {
+        return tags_.size() * sizeof(std::uint64_t);
+    }
+    [[nodiscard]] std::size_t cursor_bytes() const noexcept {
+        return cursors_.size() * sizeof(std::uint32_t);
+    }
+    [[nodiscard]] std::size_t storage_bytes() const noexcept {
+        return tag_bytes() + cursor_bytes();
+    }
+
+    // Reset all nodes to the cold state.
+    void clear();
+
+private:
+    std::vector<std::uint64_t, detail::line_allocator<std::uint64_t>> tags_;
+    std::vector<std::uint32_t> cursors_;
 };
 
 } // namespace dew::core

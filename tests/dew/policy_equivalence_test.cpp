@@ -1,14 +1,20 @@
 // The instrumentation policy must never change simulation results: the
-// `fast` simulator (counters compiled out, branchless fast-path probes,
-// static-assoc/depth specialisations) and the `full_counters` simulator
-// must produce bit-identical miss counts on identical input, and the
+// `fast` simulator (a tags-only arena walked without wave pointers or a
+// victim buffer, counters compiled out) and the `full_counters` simulator
+// (the paper's P2+P3+P4 walk) must produce bit-identical miss counts on
+// identical input, whatever dew_options the fast one is given, and the
 // pre-decoded block-stream entry point must match the address entry point.
 #include "dew/simulator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "dew/session.hpp"
+#include "dew/sweep.hpp"
 #include "trace/generator.hpp"
 #include "trace/mediabench.hpp"
+#include "trace/source.hpp"
 
 namespace {
 
@@ -37,6 +43,24 @@ trace::mem_trace random_trace(std::uint64_t seed, std::size_t length) {
         trace.push_back({address, trace::access_type::read});
     }
     return trace;
+}
+
+// Misses at A and at 1 on every level, and the request count, of two
+// results of one (block size, associativity) pass.
+void expect_same_misses(const dew_result& got, const dew_result& want) {
+    ASSERT_EQ(got.max_level(), want.max_level());
+    ASSERT_EQ(got.associativity(), want.associativity());
+    ASSERT_EQ(got.block_size(), want.block_size());
+    EXPECT_EQ(got.requests(), want.requests());
+    const std::uint32_t assoc = want.associativity();
+    for (unsigned level = 0; level <= want.max_level(); ++level) {
+        EXPECT_EQ(got.misses(level, assoc), want.misses(level, assoc))
+            << "B " << want.block_size() << " A " << assoc << " level "
+            << level;
+        EXPECT_EQ(got.misses(level, 1), want.misses(level, 1))
+            << "B " << want.block_size() << " A " << assoc << " level "
+            << level;
+    }
 }
 
 dew_options options_for_depth(std::uint32_t depth) {
@@ -146,6 +170,116 @@ TEST(PolicyEquivalence, GenericAssocFallbackMatchesCounted) {
         EXPECT_EQ(counted.result().misses(level, 32),
                   fast.result().misses(level, 32));
     }
+}
+
+// The fast walk against the paper's counted walk at every statically
+// specialised associativity and the generic fallback (32), from the
+// root-only tree to the paper's depth, on a conflict-heavy random trace and
+// on mpeg2_dec's deep frame stores.
+TEST(PolicyEquivalence, FastWalkMatchesCountedAtEveryAssocAndDepth) {
+    const trace::mem_trace traces[] = {
+        random_trace(5, 30000),
+        trace::make_mediabench_trace(trace::mediabench_app::mpeg2_dec, 30000),
+    };
+    for (const trace::mem_trace& trace : traces) {
+        for (const unsigned max_level : {0u, 1u, 7u, 14u}) {
+            for (const std::uint32_t assoc : {1u, 2u, 4u, 8u, 16u, 32u}) {
+                dew_simulator counted{max_level, assoc, 16};
+                fast_dew_simulator fast{max_level, assoc, 16};
+                counted.simulate(trace);
+                fast.simulate(trace);
+                expect_same_misses(fast.result(), counted.result());
+            }
+        }
+    }
+}
+
+// The fast policy ignores dew_options: every ablation gives the default
+// fast sweep bit for bit, counters included, and the walk reports the
+// defaults it runs under.
+TEST(PolicyEquivalence, FastSweepIgnoresDewOptions) {
+    const trace::mem_trace trace =
+        trace::make_mediabench_trace(trace::mediabench_app::mpeg2_dec, 30000);
+    sweep_request request;
+    request.max_set_exp = 12;
+    request.block_sizes = {4, 32};
+    request.associativities = {1, 2, 4, 8, 16, 32};
+    const sweep_result want = run_sweep(trace, request);
+
+    dew_options deep_buffer;
+    deep_buffer.mre_depth = 4;
+    dew_options no_mra_stop;
+    no_mra_stop.use_mra_stop = false;
+    for (const dew_options& options :
+         {dew_options::unoptimized(), deep_buffer, no_mra_stop}) {
+        request.options = options;
+        const sweep_result got = run_sweep(trace, request);
+        EXPECT_EQ(got.requests, want.requests);
+        ASSERT_EQ(got.passes.size(), want.passes.size());
+        for (std::size_t i = 0; i < want.passes.size(); ++i) {
+            expect_same_misses(got.passes[i], want.passes[i]);
+            const dew_counters& a = got.passes[i].counters();
+            const dew_counters& b = want.passes[i].counters();
+            EXPECT_EQ(a.requests, b.requests);
+            EXPECT_EQ(a.node_evaluations, b.node_evaluations);
+            EXPECT_EQ(a.tag_comparisons, b.tag_comparisons);
+            EXPECT_EQ(a.searches, b.searches);
+        }
+
+        const fast_dew_simulator sim{6, 4, 32, options};
+        EXPECT_TRUE(sim.options().use_mra_stop);
+        EXPECT_TRUE(sim.options().use_wave);
+        EXPECT_TRUE(sim.options().use_mre);
+        EXPECT_EQ(sim.options().mre_depth, 1u);
+    }
+}
+
+// A fast session fed 1, 7 or 4096 records per step gives the counted
+// one-shot sweep's misses.
+TEST(PolicyEquivalence, FastSessionChunkingMatchesCountedSweep) {
+    const trace::mem_trace trace =
+        trace::make_mediabench_trace(trace::mediabench_app::mpeg2_dec, 20000);
+    sweep_request request;
+    request.max_set_exp = 14;
+    request.block_sizes = {8, 64};
+    request.associativities = {2, 4, 16, 32};
+    sweep_request counted_request = request;
+    counted_request.instrumentation = sweep_instrumentation::full_counters;
+    const sweep_result want = run_sweep(trace, counted_request);
+
+    for (const std::size_t chunk :
+         {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+        SCOPED_TRACE("chunk " + std::to_string(chunk));
+        trace::span_source src{{trace.data(), trace.size()}};
+        session_options options;
+        options.chunk_records = chunk;
+        const sweep_result got = run_sweep(src, request, options);
+        EXPECT_EQ(got.requests, want.requests);
+        ASSERT_EQ(got.passes.size(), want.passes.size());
+        for (std::size_t i = 0; i < want.passes.size(); ++i) {
+            expect_same_misses(got.passes[i], want.passes[i]);
+        }
+    }
+}
+
+// The fast record layout: exactly 8 * A tag bytes and one 4-byte cursor
+// per node, the tags starting on a cache line.  Padding the layout fails
+// here.
+TEST(PolicyEquivalence, FastPassHoldsOnlyTagsAndCursors) {
+    for (const unsigned max_level : {0u, 6u, 14u}) {
+        const std::uint64_t nodes = (std::uint64_t{1} << (max_level + 1)) - 1;
+        for (const std::uint32_t assoc : {1u, 2u, 4u, 8u, 16u, 32u}) {
+            const basic_dew_pass<fast> pass{max_level, assoc, 32};
+            EXPECT_EQ(pass.tree().node_count(), nodes);
+            EXPECT_EQ(pass.tree().tag_bytes(), 8 * assoc * nodes)
+                << "L " << max_level << " A " << assoc;
+            EXPECT_EQ(pass.tree().cursor_bytes(), 4 * nodes);
+            EXPECT_EQ(pass.tree().storage_bytes(), (8 * assoc + 4) * nodes);
+        }
+    }
+    tag_arena arena{6, 4};
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(arena.make_walker().tags) % 64,
+              0u);
 }
 
 } // namespace

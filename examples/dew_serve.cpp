@@ -56,10 +56,10 @@
 //   trace <name> <mediabench-app> <records>
 //       registers a generated trace under <name> (apps: cjpeg djpeg
 //       g721_enc g721_dec mpeg2_enc mpeg2_dec)
-//   request <trace> <mode> <engine> <max-set-exp> <blocks> <assocs> [xN]
-//       submits a sweep request (repeated N times with xN): mode is
-//       exact|representative, engine is dew|cipar, blocks/assocs are
-//       comma-separated power-of-two lists
+//   request <trace> <mode> <max-set-exp> <blocks> <assocs> [xN]
+//       submits a fast DEW sweep request (repeated N times with xN): mode
+//       is exact|representative, blocks/assocs are comma-separated
+//       power-of-two lists
 //   fault <count>
 //       arms the fault-injection hook: the next <count> first-attempt
 //       shard-job executions throw a transient I/O fault, exercising the
@@ -68,9 +68,9 @@
 //
 // Example:
 //   trace jpeg cjpeg 200000
-//   request jpeg exact dew 10 16,32,64 2,4 x8
+//   request jpeg exact 10 16,32,64 2,4 x8
 //   fault 2
-//   request jpeg representative dew 10 16,32,64 2,4
+//   request jpeg representative 10 16,32,64 2,4
 //
 // All requests are submitted asynchronously in file order, then drained;
 // the summary shows how many answers came from simulation, the cache, or a
@@ -189,13 +189,12 @@ trace::mediabench_app parse_app(const std::string& name) {
 const char* demo_workload = R"(# built-in demo: one corpus, duplicate-heavy request storm
 trace jpeg cjpeg 200000
 trace mpeg mpeg2_enc 200000
-request jpeg exact dew 10 16,32,64 2,4 x6
-request jpeg exact cipar 10 16,32,64 2,4 x3
-request jpeg exact dew 8 16,32 2 x4
-request mpeg exact dew 10 16,32,64 2,4 x6
-request jpeg representative dew 10 16,32,64 2,4 x3
+request jpeg exact 10 16,32,64 2,4 x6
+request jpeg exact 8 16,32 2 x4
+request mpeg exact 10 16,32,64 2,4 x6
+request jpeg representative 10 16,32,64 2,4 x3
 # respelled duplicates of the first request: same cache entries
-request jpeg exact dew 10 64,32,16 4,2 x4
+request jpeg exact 10 64,32,16 4,2 x4
 )";
 
 struct pending {
@@ -258,12 +257,11 @@ void replay(std::istream& workload, const sweep_sink& sink,
             } else if (directive == "request") {
                 std::string trace_name;
                 std::string mode;
-                std::string engine;
                 unsigned max_set_exp = 0;
                 std::string blocks;
                 std::string assocs;
-                if (!(fields >> trace_name >> mode >> engine >> max_set_exp >>
-                      blocks >> assocs)) {
+                if (!(fields >> trace_name >> mode >> max_set_exp >> blocks >>
+                      assocs)) {
                     throw std::invalid_argument{
                         "malformed request directive"};
                 }
@@ -294,11 +292,6 @@ void replay(std::istream& workload, const sweep_sink& sink,
                 request.sweep.max_set_exp = max_set_exp;
                 request.sweep.block_sizes = parse_list(blocks);
                 request.sweep.associativities = parse_list(assocs);
-                if (engine == "cipar") {
-                    request.sweep.engine = core::sweep_engine::cipar;
-                } else if (engine != "dew") {
-                    throw std::invalid_argument{"unknown engine: " + engine};
-                }
                 if (mode == "representative") {
                     request.mode = serve::service_mode::representative;
                     request.phase.interval_records = 8192;

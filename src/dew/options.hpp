@@ -11,11 +11,9 @@
 
 namespace dew::core {
 
-// Part of the service's request identity via sweep_request::options —
-// dewlint's identity-completeness rule checks every field against
-// serve::fingerprint (each switch changes the walk, never the misses, but
-// Table-4 instrumentation differs, so they all must be folded).
-// dewlint: identity-struct
+// Not part of the service's request identity: each switch changes the
+// counted walk, never the misses, and the service answers miss counts only
+// (sweep_request::options).
 struct dew_options {
     // Property 2: a request matching a node's MRA tag is a certified hit at
     // this and every deeper level, so the walk stops.

@@ -58,8 +58,11 @@ enum class sweep_engine : std::uint8_t {
     cipar = 1,
 };
 
-// Every semantic field here feeds serve::fingerprint (dewlint's
-// identity-completeness rule cross-checks this against serve/key.cpp).
+// The depth and the grids feed serve::fingerprint; the fields that cannot
+// change a miss count are identity-exempt (dewlint's identity-completeness
+// rule cross-checks this against serve/key.cpp).  Counted sweeps and the
+// CIPAR engine are library and test-oracle paths: the sweep service
+// rejects the first and resets the second.
 // dewlint: identity-struct
 struct sweep_request {
     // Set counts 2^0 .. 2^max_set_exp are covered by every pass.
@@ -72,6 +75,7 @@ struct sweep_request {
     // full_counters).  Fast passes ignore them: their walk has no wave
     // pointer or victim buffer and always takes the MRA stop, so any
     // options give the default's misses (dew/simulator.hpp).
+    // dewlint: identity-exempt options never change a miss count; serve::canonical() resets them
     dew_options options{};
     // Worker threads; 0 = serial in the calling thread.  Results are
     // bit-identical regardless (the session suite proves it), hence
@@ -79,9 +83,11 @@ struct sweep_request {
     // dewlint: identity-exempt threads parallelism never changes an answered bit; canonical() zeroes it
     unsigned threads{0};
     // Instrumentation policy of every pass; fast = zero-overhead hot loop.
+    // dewlint: identity-exempt instrumentation served sweeps are fast only; serve::canonical() rejects full_counters
     sweep_instrumentation instrumentation{sweep_instrumentation::fast};
     // Simulation engine of every pass (see sweep_engine above).  The CIPAR
     // engine has no property switches.
+    // dewlint: identity-exempt engine never changes a miss count; serve::canonical() resets it
     sweep_engine engine{sweep_engine::dew};
 
     // The paper's Table 1 space: S = 2^0..2^14, B = 2^0..2^6, A = 2^0..2^4.

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "dew/result_io.hpp"
@@ -410,18 +411,17 @@ std::uint64_t decode_cancel_target(std::string_view payload) {
 
 std::string encode_submit(const submit_message& message) {
     const serve::service_request& request = message.request;
+    if (request.sweep.instrumentation != core::sweep_instrumentation::fast) {
+        throw std::invalid_argument{
+            "submit: the sweep service answers fast miss counts only; run a "
+            "counted sweep with core::run_sweep"};
+    }
     std::string out;
     put_u64(out, message.digest.words[0]);
     put_u64(out, message.digest.words[1]);
     put_u8(out, static_cast<std::uint8_t>(request.mode));
     put_u64(out, static_cast<std::uint64_t>(request.deadline.count()));
     put_u32(out, request.sweep.max_set_exp);
-    put_u8(out, static_cast<std::uint8_t>(request.sweep.engine));
-    put_u8(out, static_cast<std::uint8_t>(request.sweep.instrumentation));
-    put_u8(out, request.sweep.options.use_mra_stop ? 1 : 0);
-    put_u8(out, request.sweep.options.use_wave ? 1 : 0);
-    put_u8(out, request.sweep.options.use_mre ? 1 : 0);
-    put_u32(out, request.sweep.options.mre_depth);
     put_u32(out, static_cast<std::uint32_t>(request.sweep.block_sizes.size()));
     for (const std::uint32_t block : request.sweep.block_sizes) {
         put_u32(out, block);
@@ -462,25 +462,6 @@ submit_message decode_submit(std::string_view payload) {
     message.request.deadline = std::chrono::nanoseconds{
         static_cast<std::int64_t>(in.get_u64("deadline"))};
     message.request.sweep.max_set_exp = in.get_u32("max_set_exp");
-    const std::uint8_t engine = in.get_u8("sweep engine");
-    if (engine > 1) {
-        throw wire_error{"submit payload: unknown sweep engine " +
-                         std::to_string(engine) + " at byte offset " +
-                         std::to_string(in.offset() - 1)};
-    }
-    message.request.sweep.engine = static_cast<core::sweep_engine>(engine);
-    const std::uint8_t instrumentation = in.get_u8("instrumentation");
-    if (instrumentation > 1) {
-        throw wire_error{"submit payload: unknown instrumentation policy " +
-                         std::to_string(instrumentation) +
-                         " at byte offset " + std::to_string(in.offset() - 1)};
-    }
-    message.request.sweep.instrumentation =
-        static_cast<core::sweep_instrumentation>(instrumentation);
-    message.request.sweep.options.use_mra_stop = in.get_bool("use_mra_stop");
-    message.request.sweep.options.use_wave = in.get_bool("use_wave");
-    message.request.sweep.options.use_mre = in.get_bool("use_mre");
-    message.request.sweep.options.mre_depth = in.get_u32("mre_depth");
     const auto read_grid = [&in](const char* count_field,
                                  const char* value_field) {
         const std::uint32_t count = in.get_u32(count_field);

@@ -4,7 +4,8 @@
 //
 // Frame layout (all integers little-endian):
 //   magic         4 bytes  "DSNW"
-//   version       u32      currently 1
+//   version       u32      currently 2 (1 carried the engine,
+//                          instrumentation and dew_options in submit)
 //   type          u8       message_type
 //   id            u64      correlation id — echoed by the response frame(s)
 //   payload_bytes u64      bytes following this field (<= max_frame_payload)
@@ -55,7 +56,7 @@ public:
 };
 
 inline constexpr char frame_magic[4] = {'D', 'S', 'N', 'W'};
-inline constexpr std::uint32_t wire_version = 1;
+inline constexpr std::uint32_t wire_version = 2;
 // magic + version + type + id + payload_bytes.
 inline constexpr std::size_t frame_header_bytes = 4 + 4 + 1 + 8 + 8;
 // Upper bound a receiver enforces before allocating: a 1 GiB payload holds
@@ -191,12 +192,27 @@ std::string encode_flag(bool value);
 std::string encode_cancel_target(std::uint64_t submit_id);
 [[nodiscard]] std::uint64_t decode_cancel_target(std::string_view payload);
 
-// submit: which trace (by digest), what question.  `threads` is not
-// carried (the serving side owns parallelism), exactly as serve::canonical
-// normalises it.  The trailing trace-context words
-// (obs_trace_hi/lo, obs_parent_span) are pure telemetry: identity-exempt
-// in serve::key, never folded into the fingerprint, forwarded verbatim by
-// the router's backend hop.
+// submit: which trace (by digest), what question.  Payload layout:
+//   digest           2 x u64
+//   mode             u8      serve::service_mode
+//   deadline         u64     ns, two's complement
+//   max_set_exp      u32
+//   block sizes      u32 count, count x u32
+//   associativities  u32 count, count x u32
+//   phase knobs      u64 interval_records, u32 signature_block_size,
+//                    u32 signature_width, u32 max_phases,
+//                    u32 kmeans_iterations, u64 chunk_records
+//   warmup_records   u64
+//   error_budget_pp  f64
+//   trace context    u64 obs_trace_hi, u64 obs_trace_lo,
+//                    u64 obs_parent_span
+// The sweep's `threads`, engine, instrumentation and dew_options are not
+// carried: the service answers fast miss counts only and serve::canonical
+// resets the rest, so a decoded request has their defaults.
+// encode_submit throws std::invalid_argument on a counted sweep.  The
+// trailing trace-context words are pure telemetry: identity-exempt in
+// serve::key, never folded into the fingerprint, forwarded verbatim by the
+// router's backend hop.
 struct submit_message {
     trace::trace_digest digest{};
     serve::service_request request{};

@@ -35,9 +35,9 @@ namespace dew::serve {
 //
 // Version 2 had the same framing, but each entry was one whole exact
 // request: its request key and its sweep.  load() turns a v2 entry whose
-// passes carry no counters beyond the request count into one fast column
-// per pass (keyed by column_key, at the entry's depth) and skips a counted
-// one: its counters hold for that request's depth and grid alone.
+// passes carry no counters beyond the request count into one column per
+// pass (keyed by column_key, at the entry's depth).  It skips a counted
+// entry of either version: nothing looks a counted column up.
 namespace {
 
 constexpr char cache_magic[4] = {'D', 'S', 'C', 'F'};
@@ -260,7 +260,7 @@ cache_load_report result_cache::load(std::istream& in, load_mode mode) {
     bool header_ok = false;
     bool columns_only = true; // version 3; false: version 2 requests
     std::uint64_t verified = 0; // entries whose framing and checksum held
-    std::uint64_t counted = 0;  // verified version 2 entries with counters
+    std::uint64_t counted = 0;  // verified entries with counters
     try {
         std::array<char, 8> header{};
         parse.read(header.data(),
@@ -315,28 +315,26 @@ cache_load_report result_cache::load(std::istream& in, load_mode mode) {
                         std::to_string(start) + ", " + std::to_string(end) +
                         ")"};
                 }
-                if (columns_only) {
-                    if (record.passes.size() != 1) {
-                        throw std::runtime_error{
-                            "column entry over bytes [" +
-                            std::to_string(start) + ", " +
-                            std::to_string(end) + ") holds " +
-                            std::to_string(record.passes.size()) +
-                            " passes, not 1"};
-                    }
+                if (columns_only && record.passes.size() != 1) {
+                    throw std::runtime_error{
+                        "column entry over bytes [" + std::to_string(start) +
+                        ", " + std::to_string(end) + ") holds " +
+                        std::to_string(record.passes.size()) +
+                        " passes, not 1"};
+                }
+                if (!std::all_of(record.passes.begin(), record.passes.end(),
+                                 counter_free)) {
+                    ++counted;
+                } else if (columns_only) {
                     staged.emplace_back(
                         key, column_value(std::move(record.passes.front())));
-                } else if (std::all_of(record.passes.begin(),
-                                       record.passes.end(), counter_free)) {
+                } else {
                     for (core::dew_result& pass : record.passes) {
                         staged.emplace_back(
-                            column_key(key.trace, core::sweep_request{},
-                                       pass.block_size(),
+                            column_key(key.trace, pass.block_size(),
                                        pass.associativity()),
                             column_value(std::move(pass)));
                     }
-                } else {
-                    ++counted;
                 }
                 ++verified;
             } catch (const std::runtime_error& error) {

@@ -6,7 +6,7 @@
 //   * exact columns, the only exact unit: one (trace, block size,
 //     associativity) DEW pass at the depth it was computed, keyed by
 //     serve::column_key.  The service composes every exact answer from
-//     them.  A fast column at depth L answers any depth L' <= L as a
+//     them.  A column at depth L answers any depth L' <= L as a
 //     prefix, so a deeper column replaces a shallower one under the same
 //     key and a shallower one never replaces a deeper one (insert);
 //   * representative answers, keyed by the request fingerprint.
@@ -32,8 +32,9 @@
 // read_binary_result and inserts NOTHING — and crash-tolerant in salvage
 // mode: every entry framed and checksummed before the first fault byte is
 // recovered, the rest reported, never a partial or unverified entry.
-// Version 2 files, whose entries were whole exact requests, still load:
-// a fast entry becomes one column per pass; a counted one is skipped.
+// Only counter-free (fast) passes load as columns; a counted one, in a
+// version 2 file (whose entries were whole exact requests) or a version 3
+// file saved while the service still served counted sweeps, is skipped.
 #ifndef DEW_SERVE_CACHE_HPP
 #define DEW_SERVE_CACHE_HPP
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 #include "common/bits.hpp"
 
@@ -40,17 +41,19 @@ private:
 } // namespace
 
 core::sweep_request canonical(const core::sweep_request& sweep) {
+    core::validate(sweep);
+    if (sweep.instrumentation != core::sweep_instrumentation::fast) {
+        throw std::invalid_argument{
+            "the sweep service answers fast miss counts only; run a counted "
+            "sweep with core::run_sweep"};
+    }
     core::sweep_request normal = sweep;
     sort_unique(normal.block_sizes);
     sort_unique(normal.associativities);
     normal.threads = 0; // the service owns parallelism; results identical
-    if (normal.engine == core::sweep_engine::cipar) {
-        // dew_options apply to the DEW engine only (dew/sweep.hpp); two
-        // cipar requests differing only there are the same question and
-        // must not fragment the key space.
-        normal.options = core::dew_options{};
-    }
-    core::validate(normal);
+    // Fast miss counts are bit-identical across engines and dew_options.
+    normal.engine = core::sweep_engine::dew;
+    normal.options = core::dew_options{};
     return normal;
 }
 
@@ -76,13 +79,6 @@ service_request canonical(const service_request& request) {
         normal.phase = phase::phase_options{};
         normal.warmup_records = 0;
         normal.error_budget_pp = 0.0;
-        if (normal.sweep.instrumentation ==
-            core::sweep_instrumentation::fast) {
-            // A fast answer is miss counts alone, bit-identical across
-            // engines and dew_options; only counters tell them apart.
-            normal.sweep.engine = core::sweep_engine::dew;
-            normal.sweep.options = core::dew_options{};
-        }
     }
     return normal;
 }
@@ -97,15 +93,9 @@ std::array<std::uint64_t, 2> fingerprint(const service_request& request) {
 std::array<std::uint64_t, 2>
 fingerprint_canonical(const service_request& normal) {
     folder fold;
-    fold(0x44455753ull); // format tag "SWED"; bump if the field set changes
+    fold(0x44455754ull); // format tag "TWED"; bump if the field set changes
     fold(static_cast<std::uint64_t>(normal.mode));
-    fold(static_cast<std::uint64_t>(normal.sweep.engine));
-    fold(static_cast<std::uint64_t>(normal.sweep.instrumentation));
     fold(normal.sweep.max_set_exp);
-    fold((static_cast<std::uint64_t>(normal.sweep.options.use_mra_stop) << 2) |
-         (static_cast<std::uint64_t>(normal.sweep.options.use_wave) << 1) |
-         static_cast<std::uint64_t>(normal.sweep.options.use_mre));
-    fold(normal.sweep.options.mre_depth);
     fold(normal.sweep.block_sizes.size());
     for (const std::uint32_t block : normal.sweep.block_sizes) {
         fold(block);
@@ -133,22 +123,15 @@ request_key make_key(const trace::trace_digest& digest,
 }
 
 request_key column_key(const trace::trace_digest& digest,
-                       const core::sweep_request& normal,
                        std::uint32_t block, std::uint32_t assoc) {
     folder fold;
     fold(0x4C4F4353ull); // format tag "SCOL": never a request key
     fold(block);
     fold(assoc);
-    fold(static_cast<std::uint64_t>(normal.instrumentation));
-    if (normal.instrumentation != core::sweep_instrumentation::fast) {
-        // Counters depend on the depth, the engine and the dew_options.
-        fold(normal.max_set_exp);
-        fold(static_cast<std::uint64_t>(normal.engine));
-        fold((static_cast<std::uint64_t>(normal.options.use_mra_stop) << 2) |
-             (static_cast<std::uint64_t>(normal.options.use_wave) << 1) |
-             static_cast<std::uint64_t>(normal.options.use_mre));
-        fold(normal.options.mre_depth);
-    }
+    // The instrumentation policy a column key once folded (fast = 0): kept
+    // so the keys of cache files saved before counted columns left stay
+    // the same and still hit.
+    fold(0);
     return {digest, fold.finish()};
 }
 

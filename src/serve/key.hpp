@@ -2,30 +2,28 @@
 //
 // A service request is answered from cache, or coalesced with an in-flight
 // duplicate, iff it is *semantically* the same question about the same
-// trace.  Two layers make that precise:
+// trace.  Three layers make that precise:
 //
-//   1. canonical() — the request normal form.  Grids are sorted and
+//   1. canonical() — the request normal form.  The service answers one
+//      kind of exact question, fast miss counts, so counted sweeps are
+//      rejected (core::run_sweep runs them).  Grids are sorted and
 //      deduplicated (a sweep's answer is a set of configurations, not a
-//      listing order) and `threads` is zeroed (parallelism is the service's
+//      listing order), `threads` is zeroed (parallelism is the service's
 //      concern and results are bit-identical regardless — the session test
-//      suite proves it).  An exact request with fast instrumentation also
-//      gets the default engine and dew_options: its answer is miss counts
-//      alone, and those are bit-identical across engines and ablations
-//      (the cross-simulator and ablation suites prove it), so fast DEW and
-//      fast CIPAR requests for one grid are one question.  Everything else
-//      that can change a single answered bit — a counted request's engine
-//      and dew_options, the instrumentation policy, max_set_exp, the grids,
-//      the service tier and its phase/warmup/error-budget knobs — is
-//      preserved.  The service answers the canonical form, so the result
-//      handed back is exactly run_sweep(trace, canonical(request).sweep).
+//      suite proves it), and the engine and dew_options are reset to their
+//      defaults: fast miss counts are bit-identical across engines and
+//      ablations (the cross-simulator and ablation suites prove it).
+//      Everything else that can change a single answered bit —
+//      max_set_exp, the grids, the service tier and its
+//      phase/warmup/error-budget knobs — is preserved.  The service answers
+//      the canonical form, so the result handed back is exactly
+//      run_sweep(trace, canonical(request).sweep).
 //   2. fingerprint() — a 128-bit hash of the canonical form.  Keys compare
 //      by full (trace digest, fingerprint) value, 256 bits total, so a
 //      collision needs simultaneous 128+128-bit coincidence.
 //   3. column_key() — the exact result cache's unit: one (trace, block
-//      size, associativity) pass.  A fast column's key leaves the depth
-//      out, because the pass at depth L holds every shallower answer as a
-//      prefix; a counted column's key folds the depth, the engine and the
-//      dew_options, which its counters depend on.
+//      size, associativity) pass.  It leaves the depth out, because the
+//      pass at depth L holds every shallower answer as a prefix.
 #ifndef DEW_SERVE_KEY_HPP
 #define DEW_SERVE_KEY_HPP
 
@@ -54,8 +52,9 @@ enum class service_mode : std::uint8_t {
 // annotation naming why it cannot change the answer.
 // dewlint: identity-struct
 struct service_request {
-    // The configuration grid, engine, instrumentation and dew_options of
-    // the sweep.  `threads` is ignored (the service owns parallelism).
+    // The configuration grid and depth of the sweep.  Its instrumentation
+    // must be fast; `threads`, the engine and the dew_options are ignored
+    // (canonical() resets them).
     core::sweep_request sweep{};
     service_mode mode{service_mode::exact};
 
@@ -102,7 +101,7 @@ struct service_request {
 };
 
 // Normal forms (see above).  Throws std::invalid_argument on an ill-formed
-// sweep grid (validate(sweep_request)).
+// sweep (validate(sweep_request)) and on a counted one.
 [[nodiscard]] core::sweep_request canonical(const core::sweep_request& sweep);
 [[nodiscard]] service_request canonical(const service_request& request);
 
@@ -139,13 +138,10 @@ struct request_key_hash {
 [[nodiscard]] request_key make_key(const trace::trace_digest& digest,
                                    const service_request& request);
 
-// The key of the (block, assoc) column of `normal`, an exact canonical
-// sweep, over the trace `digest`.  Fast columns key on (block, assoc) only;
-// counted ones also on the engine, the dew_options and max_set_exp.
-// Column keys live in the request keys' space but fold their own format
-// tag first, so the two never coincide.
+// The key of the (block, assoc) column over the trace `digest`.  Column
+// keys live in the request keys' space but fold their own format tag
+// first, so the two never coincide.
 [[nodiscard]] request_key column_key(const trace::trace_digest& digest,
-                                     const core::sweep_request& normal,
                                      std::uint32_t block, std::uint32_t assoc);
 
 } // namespace dew::serve

@@ -68,9 +68,8 @@ service_request estimate_question(const service_request& exact) {
 
 // The pass at depth `level` <= column.max_level().  In the binomial tree a
 // level's misses depend only on the levels above it, so the shallower pass
-// is a prefix of the deeper one.  Only fast columns are ever trimmed (a
-// counted column's key folds its depth), and their counters carry the
-// request count alone, which does not depend on the depth.
+// is a prefix of the deeper one.  A column's counters carry the request
+// count alone, which does not depend on the depth.
 core::dew_result prefix(const core::dew_result& column, unsigned level) {
     if (column.max_level() == level) {
         return column;
@@ -105,7 +104,7 @@ column_set columns_of(const trace::trace_digest& digest,
                          normal.associativities.size());
     for (const std::uint32_t block : normal.block_sizes) {
         for (const std::uint32_t assoc : normal.associativities) {
-            columns.keys.push_back(column_key(digest, normal, block, assoc));
+            columns.keys.push_back(column_key(digest, block, assoc));
         }
     }
     columns.found.resize(columns.keys.size());
@@ -603,7 +602,7 @@ struct service::state {
             }
             std::shared_ptr<const cached_value> hit =
                 cache.find(columns.keys[i]);
-            // A fast column answers every depth up to its own.
+            // A column answers every depth up to its own.
             if (hit && hit->column &&
                 hit->column->max_level() >= normal.sweep.max_set_exp) {
                 columns.found[i] = std::move(hit);

@@ -1,7 +1,9 @@
-// serve::service — an in-process, multi-tenant sweep query engine over the
-// exact engines, for design-space-exploration workloads: thousands of sweep
-// requests against a shared trace corpus, most of them duplicates of
-// questions already answered.  docs/API.md §5 is the full contract.
+// serve::service — an in-process, multi-tenant sweep query engine for
+// design-space-exploration workloads: thousands of sweep requests against
+// a shared trace corpus, most of them duplicates of questions already
+// answered.  It answers one kind of exact question, fast DEW miss counts;
+// counted sweeps and the CIPAR engine stay core::run_sweep calls.
+// docs/API.md §5 is the full contract.
 //
 //   * Content addressing.  Traces are identified by a streaming 128-bit
 //     digest (trace/digest.hpp), requests by the fingerprint of their
@@ -14,11 +16,8 @@
 //     save_cache / load_cache persist the columns with per-entry and
 //     whole-file checksums and a salvage mode for crash-truncated files.
 //   * Subsumption.  One DEW pass at depth L holds the exact misses of every
-//     set count 2^0..2^L, so a fast column at depth L answers any request
+//     set count 2^0..2^L, so a column at depth L answers any request
 //     at L' <= L as a prefix, and a deeper column replaces a shallower one.
-//     A counted column answers only its own depth (its counters depend on
-//     it).  Fast DEW and fast CIPAR requests share columns: canonical()
-//     resets their engine and dew_options.
 //   * Scheduler.  submit() snapshots the columns an exact request needs.
 //     When all are present it composes the answer on the calling thread (a
 //     cache hit, so a repeated exact request is a composed hit, not a

@@ -1,8 +1,8 @@
 // net::server + net::client over a loopback socket: the networked answers
-// are bit-identical to direct run_sweep on both engines (under concurrent
-// clients too), the failure taxonomy crosses the wire, malformed frames are
-// rejected precisely without killing the server, and the warm-cache
-// handoff round-trips.
+// are bit-identical to direct run_sweep, and their miss counts to the CIPAR
+// oracle (under concurrent clients too), the failure taxonomy crosses the
+// wire, malformed frames are rejected precisely without killing the
+// server, and the warm-cache handoff round-trips.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -34,13 +34,11 @@ trace::mem_trace workload(trace::mediabench_app app =
     return trace::make_mediabench_trace(app, records);
 }
 
-serve::service_request small_request(core::sweep_engine engine,
-                                     unsigned max_set_exp = 4) {
+serve::service_request small_request(unsigned max_set_exp = 4) {
     serve::service_request request;
     request.sweep.max_set_exp = max_set_exp;
     request.sweep.block_sizes = {16, 32};
     request.sweep.associativities = {2, 4};
-    request.sweep.engine = engine;
     return request;
 }
 
@@ -72,23 +70,34 @@ TEST(Loopback, PingRegisterAndHasTrace) {
     EXPECT_TRUE(srv.local_service().has_trace(to_string(expected)));
 }
 
-TEST(Loopback, ServedAnswersAreBitIdenticalToRunSweepOnBothEngines) {
+TEST(Loopback, ServedAnswersAreBitIdenticalToRunSweepAndTheCiparOracle) {
     server srv{{}};
     client cli{"127.0.0.1", srv.port()};
     const trace::mem_trace records = workload();
     const trace::trace_digest digest = cli.register_trace(records);
 
-    for (const core::sweep_engine engine :
-         {core::sweep_engine::dew, core::sweep_engine::cipar}) {
-        SCOPED_TRACE(engine == core::sweep_engine::dew ? "dew" : "cipar");
-        const serve::service_request request = small_request(engine);
-        submission pending = cli.submit(digest, request);
-        const serve::service_result result = pending.get();
-        ASSERT_NE(result.sweep, nullptr);
-        const core::sweep_result direct =
-            core::run_sweep(records, serve::canonical(request).sweep);
-        EXPECT_EQ(sweep_bytes(*result.sweep), sweep_bytes(direct));
+    const serve::service_request request = small_request();
+    const serve::service_result result = cli.submit(digest, request).get();
+    ASSERT_NE(result.sweep, nullptr);
+    const core::sweep_result direct =
+        core::run_sweep(records, serve::canonical(request).sweep);
+    EXPECT_EQ(sweep_bytes(*result.sweep), sweep_bytes(direct));
+
+    // The CIPAR engine stays a library oracle: its miss counts agree with
+    // every served configuration.
+    core::sweep_request oracle = request.sweep;
+    oracle.engine = core::sweep_engine::cipar;
+    const core::sweep_result cipar = core::run_sweep(records, oracle);
+    for (const core::config_outcome& outcome : result.sweep->outcomes()) {
+        EXPECT_EQ(cipar.misses_of(outcome.config), outcome.misses);
     }
+
+    // A counted sweep is refused before anything is sent; the connection
+    // keeps serving.
+    serve::service_request counted = request;
+    counted.sweep.instrumentation = core::sweep_instrumentation::full_counters;
+    EXPECT_THROW((void)cli.submit(digest, counted), std::invalid_argument);
+    EXPECT_TRUE(cli.submit(digest, request).get().cache_hit);
 }
 
 TEST(Loopback, ConcurrentClientStormStaysBitIdentical) {
@@ -125,13 +134,10 @@ TEST(Loopback, ConcurrentClientStormStaysBitIdentical) {
                 std::vector<std::string> want;
                 for (std::size_t i = 0; i < per_client; ++i) {
                     const bool use_mpeg = (c + i) % 2 == 0;
-                    const core::sweep_engine engine =
-                        i % 2 == 0 ? core::sweep_engine::dew
-                                   : core::sweep_engine::cipar;
-                    // Two distinct grid shapes so the storm mixes cache
-                    // hits, coalesces and fresh computations.
+                    // Two distinct depths so the storm mixes cache hits,
+                    // coalesces and fresh computations.
                     const serve::service_request request =
-                        small_request(engine, i % 3 == 0 ? 3 : 4);
+                        small_request(i % 3 == 0 ? 3 : 4);
                     pending.push_back(cli.submit(
                         use_mpeg ? mpeg_digest : cjpeg_digest, request));
                     want.push_back(
@@ -162,9 +168,9 @@ TEST(Loopback, ConcurrentClientStormStaysBitIdentical) {
     const serve::service_stats stats = srv.local_service().stats();
     EXPECT_EQ(stats.submitted, client_count * per_client);
     EXPECT_EQ(stats.completed, client_count * per_client);
-    // 2 traces x 2 engines x 2 grid shapes = at most 8 distinct questions;
-    // everything else was answered without a fresh computation.
-    EXPECT_LE(stats.computations, 8u);
+    // 2 traces x 2 depths = at most 4 distinct questions; everything else
+    // was answered without a fresh computation.
+    EXPECT_LE(stats.computations, 4u);
     EXPECT_EQ(stats.cache_hits + stats.coalesced + stats.computations,
               stats.submitted);
 }
@@ -175,13 +181,12 @@ TEST(Loopback, ServiceFaultsCrossTheWireTyped) {
 
     // Unknown digest: rejected like the in-process unknown trace name.
     submission unknown =
-        cli.submit(trace::trace_digest{{1, 2}}, small_request(
-                                                    core::sweep_engine::dew));
+        cli.submit(trace::trace_digest{{1, 2}}, small_request());
     EXPECT_THROW((void)unknown.get(), std::invalid_argument);
 
     // Ill-formed grid: a non-power-of-two block size.
     const trace::trace_digest digest = cli.register_trace(workload());
-    serve::service_request bad = small_request(core::sweep_engine::dew);
+    serve::service_request bad = small_request();
     bad.sweep.block_sizes = {24};
     submission malformed = cli.submit(digest, bad);
     EXPECT_THROW((void)malformed.get(), std::invalid_argument);
@@ -199,13 +204,11 @@ TEST(Loopback, DeadlineTimeoutAndCancelCrossTheWire) {
     // Stage: hold the workers so submissions sit in the queue.
     cli.pause();
 
-    serve::service_request with_deadline =
-        small_request(core::sweep_engine::dew);
+    serve::service_request with_deadline = small_request();
     with_deadline.deadline = std::chrono::milliseconds{5};
     submission timed = cli.submit(digest, with_deadline);
 
-    serve::service_request other = small_request(core::sweep_engine::cipar);
-    submission withdrawn = cli.submit(digest, other);
+    submission withdrawn = cli.submit(digest, small_request(3));
     EXPECT_TRUE(withdrawn.cancel());
 
     std::this_thread::sleep_for(std::chrono::milliseconds{20});
@@ -251,7 +254,7 @@ TEST(Loopback, MalformedHeaderGetsPreciseErrorAndOnlyThatConnectionDies) {
     // ... but not the service or other connections.
     healthy.ping();
     submission pending =
-        healthy.submit(digest, small_request(core::sweep_engine::dew));
+        healthy.submit(digest, small_request());
     EXPECT_NE(pending.get().sweep, nullptr);
 }
 
@@ -293,8 +296,7 @@ TEST(Loopback, CacheImageHandsOffBetweenServers) {
         server warm{{}};
         client cli{"127.0.0.1", warm.port()};
         const trace::trace_digest digest = cli.register_trace(records);
-        const serve::service_request request =
-            small_request(core::sweep_engine::dew);
+        const serve::service_request request = small_request();
         expected_image = sweep_bytes(*cli.submit(digest, request).get().sweep);
         image = cli.save_cache();
         EXPECT_FALSE(image.empty());
@@ -310,7 +312,7 @@ TEST(Loopback, CacheImageHandsOffBetweenServers) {
 
     // The warmed server answers from cache, bit-identically.
     const serve::service_result result =
-        cli.submit(digest, small_request(core::sweep_engine::dew)).get();
+        cli.submit(digest, small_request()).get();
     EXPECT_TRUE(result.cache_hit);
     EXPECT_EQ(sweep_bytes(*result.sweep), expected_image);
 
@@ -345,13 +347,11 @@ TEST(Loopback, CorpusHydratesTracesAcrossServerRestarts) {
     client cli{"127.0.0.1", srv.port()};
     EXPECT_TRUE(cli.has_trace(digest));
     const serve::service_result result =
-        cli.submit(digest, small_request(core::sweep_engine::cipar)).get();
+        cli.submit(digest, small_request()).get();
     ASSERT_NE(result.sweep, nullptr);
     EXPECT_EQ(sweep_bytes(*result.sweep),
               sweep_bytes(core::run_sweep(
-                  records, serve::canonical(
-                               small_request(core::sweep_engine::cipar))
-                               .sweep)));
+                  records, serve::canonical(small_request()).sweep)));
     std::filesystem::remove_all(corpus_dir);
 }
 

@@ -5,7 +5,9 @@
 // across backends.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -17,6 +19,7 @@
 #include "net/server.hpp"
 #include "obs/recorder.hpp"
 #include "serve/service.hpp"
+#include "support/grid_questions.hpp"
 #include "trace/digest.hpp"
 #include "trace/mediabench.hpp"
 
@@ -29,19 +32,11 @@ trace::mem_trace workload() {
     return trace::make_mediabench_trace(trace::mediabench_app::cjpeg, 3000);
 }
 
-// Distinct questions: mre_depth is part of the request identity of a
-// counted DEW request (canonical() resets dew_options for fast requests,
-// whose miss counts they cannot change), so every index is a different
+// Distinct questions: every index is a different grid, so a different
 // fingerprint — and so a different ring point — while the sweeps stay
 // small.
 serve::service_request request_number(std::size_t index) {
-    serve::service_request request;
-    request.sweep.instrumentation = core::sweep_instrumentation::full_counters;
-    request.sweep.max_set_exp = 3 + index % 2;
-    request.sweep.block_sizes = {16};
-    request.sweep.associativities = {2, 4};
-    request.sweep.options.mre_depth = 1 + static_cast<std::uint32_t>(index);
-    return request;
+    return test_support::grid_question(index, 3);
 }
 
 // Canonical image for bit-identity comparison; wall-clock seconds zeroed
@@ -84,6 +79,11 @@ TEST(Router, KeysPartitionConsistentlyAndResubmissionsHitTheSameCache) {
     EXPECT_EQ(digest, trace::compute_digest(records));
 
     constexpr std::size_t key_count = 18;
+    std::set<std::array<std::uint64_t, 2>> fingerprints;
+    for (std::size_t i = 0; i < key_count; ++i) {
+        fingerprints.insert(serve::fingerprint(request_number(i)));
+    }
+    ASSERT_EQ(fingerprints.size(), key_count);
     std::vector<std::size_t> owner(key_count);
     std::set<std::size_t> used;
     for (std::size_t i = 0; i < key_count; ++i) {

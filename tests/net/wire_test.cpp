@@ -39,10 +39,6 @@ serve::service_request sample_request() {
     request.sweep.max_set_exp = 5;
     request.sweep.block_sizes = {8, 32};
     request.sweep.associativities = {2, 4};
-    request.sweep.engine = core::sweep_engine::cipar;
-    request.sweep.instrumentation = core::sweep_instrumentation::full_counters;
-    request.sweep.options.use_wave = false;
-    request.sweep.options.mre_depth = 3;
     request.mode = serve::service_mode::representative;
     request.phase.interval_records = 512;
     request.phase.signature_width = 32;
@@ -207,12 +203,6 @@ TEST(Wire, SubmitRoundTripsEveryRequestField) {
     EXPECT_EQ(b.mode, a.mode);
     EXPECT_EQ(b.deadline, a.deadline);
     EXPECT_EQ(b.sweep.max_set_exp, a.sweep.max_set_exp);
-    EXPECT_EQ(b.sweep.engine, a.sweep.engine);
-    EXPECT_EQ(b.sweep.instrumentation, a.sweep.instrumentation);
-    EXPECT_EQ(b.sweep.options.use_mra_stop, a.sweep.options.use_mra_stop);
-    EXPECT_EQ(b.sweep.options.use_wave, a.sweep.options.use_wave);
-    EXPECT_EQ(b.sweep.options.use_mre, a.sweep.options.use_mre);
-    EXPECT_EQ(b.sweep.options.mre_depth, a.sweep.options.mre_depth);
     EXPECT_EQ(b.sweep.block_sizes, a.sweep.block_sizes);
     EXPECT_EQ(b.sweep.associativities, a.sweep.associativities);
     EXPECT_EQ(b.phase.interval_records, a.phase.interval_records);
@@ -226,6 +216,37 @@ TEST(Wire, SubmitRoundTripsEveryRequestField) {
     // The fingerprint is the real equality oracle: the request identity
     // must survive the wire bit-exactly.
     EXPECT_EQ(serve::fingerprint(b), serve::fingerprint(a));
+    // The layout wire.hpp documents: 125 bytes for two block sizes and two
+    // associativities.
+    EXPECT_EQ(encode_submit(message).size(), 125u);
+}
+
+TEST(Wire, SubmitCarriesNoEngineInstrumentationOrDewOptions) {
+    // A counted sweep is not a served question: rejected before encoding.
+    serve::service_request counted = sample_request();
+    counted.sweep.instrumentation = core::sweep_instrumentation::full_counters;
+    EXPECT_THROW((void)encode_submit({sample_digest(), counted}),
+                 std::invalid_argument);
+
+    // A fast request naming CIPAR or an ablation travels without them and
+    // arrives with the defaults, which serve::canonical would set anyway.
+    serve::service_request ablated = sample_request();
+    ablated.sweep.engine = core::sweep_engine::cipar;
+    ablated.sweep.options.use_mra_stop = false;
+    ablated.sweep.options.use_wave = false;
+    ablated.sweep.options.use_mre = false;
+    ablated.sweep.options.mre_depth = 3;
+    const std::string bytes = encode_submit({sample_digest(), ablated});
+    EXPECT_EQ(bytes, encode_submit({sample_digest(), sample_request()}));
+    const serve::service_request back = decode_submit(bytes).request;
+    EXPECT_EQ(back.sweep.engine, core::sweep_engine::dew);
+    EXPECT_EQ(back.sweep.instrumentation, core::sweep_instrumentation::fast);
+    EXPECT_EQ(back.sweep.options.use_mra_stop,
+              core::dew_options{}.use_mra_stop);
+    EXPECT_EQ(back.sweep.options.use_wave, core::dew_options{}.use_wave);
+    EXPECT_EQ(back.sweep.options.use_mre, core::dew_options{}.use_mre);
+    EXPECT_EQ(back.sweep.options.mre_depth, core::dew_options{}.mre_depth);
+    EXPECT_EQ(serve::fingerprint(back), serve::fingerprint(ablated));
 }
 
 TEST(Wire, ResultRoundTripsBitExactly) {
@@ -495,6 +516,10 @@ TEST(Wire, HeaderRejectsBadMagicVersionTypeAndSize) {
 
     std::string bad_version = good;
     bad_version[4] = 99;
+    EXPECT_THROW((void)parse_header(bad_version), wire_error);
+    // A version 1 peer, whose submit payload carried the engine,
+    // instrumentation and dew_options, fails at the header.
+    bad_version[4] = 1;
     EXPECT_THROW((void)parse_header(bad_version), wire_error);
 
     std::string bad_type = good;

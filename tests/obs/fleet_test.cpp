@@ -6,6 +6,7 @@
 // the wire and renders as JSONL.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -18,6 +19,7 @@
 #include "obs/event.hpp"
 #include "obs/export.hpp"
 #include "obs/recorder.hpp"
+#include "support/grid_questions.hpp"
 #include "trace/digest.hpp"
 #include "trace/mediabench.hpp"
 
@@ -26,16 +28,9 @@ namespace {
 using namespace dew;
 using namespace dew::net;
 
-// Distinct indices are distinct questions: a counted request keeps its
-// dew_options (mre_depth) in its identity.
+// Distinct indices are distinct questions: each one is a different grid.
 serve::service_request small_request(std::uint32_t index = 0) {
-    serve::service_request request;
-    request.sweep.instrumentation = core::sweep_instrumentation::full_counters;
-    request.sweep.max_set_exp = 4;
-    request.sweep.block_sizes = {16, 32};
-    request.sweep.associativities = {2, 4};
-    request.sweep.options.mre_depth = 1 + index;
-    return request;
+    return test_support::grid_question(index, 4);
 }
 
 trace::mem_trace workload() {
@@ -258,9 +253,12 @@ TEST(Fleet, RouterConcatenatesEveryBackendsEventRing) {
     wired_fleet fleet;
     client cli{"127.0.0.1", fleet.front.port()};
     const trace::trace_digest digest = cli.register_trace(workload());
+    std::set<std::array<std::uint64_t, 2>> fingerprints;
     for (std::uint32_t i = 0; i < 18; ++i) {
+        fingerprints.insert(serve::fingerprint(small_request(i)));
         (void)cli.submit(digest, small_request(i)).get();
     }
+    ASSERT_EQ(fingerprints.size(), 18u);
 
     const std::vector<obs::request_event> events = cli.events();
     ASSERT_GE(events.size(), 18u);

@@ -1,6 +1,7 @@
 // The sharded result cache: hit/miss/eviction accounting, shared immutable
 // values, deeper-column replacement, and the hardened persistence round
-// trip (DSCF version 3, and version 2 images turned into columns).
+// trip (DSCF version 3, and version 2 images turned into columns; counted
+// entries of either version are skipped).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -334,10 +335,12 @@ TEST(ServeCache, FooterDamageSalvagesEverythingButReportsIt) {
     EXPECT_FALSE(report.checksum_ok);
 }
 
-// --- Version 2 images ---------------------------------------------------------
+// --- Hand-written images -----------------------------------------------------
 
-// The version 2 writer, kept here to produce v2 bytes: the v3 framing, but
-// each entry one whole exact request (its request key and its sweep).
+// A DSCF writer that puts any sweep under any key, for the images
+// result_cache::save never writes: version 2 (each entry one whole exact
+// request, its request key and its sweep) and counted or multi-pass
+// version 3 entries.
 std::uint64_t checksum64(std::string_view data) {
     std::uint64_t hash = 0xCBF29CE484222325ull;
     for (const char c : data) {
@@ -353,12 +356,13 @@ void put_u64(std::ostream& out, std::uint64_t value) {
     }
 }
 
-std::string v2_image(
+std::string image_of(
+    char version,
     const std::vector<std::pair<request_key, core::sweep_result>>& entries) {
     std::ostringstream buffer;
     buffer.write("DSCF", 4);
     for (int i = 0; i < 4; ++i) {
-        buffer.put(static_cast<char>(i == 0 ? 2 : 0));
+        buffer.put(i == 0 ? version : '\0');
     }
     put_u64(buffer, entries.size());
     for (const auto& [key, sweep] : entries) {
@@ -390,8 +394,9 @@ TEST(ServeCache, VersionTwoFastEntriesLoadAsColumnsAndCountedOnesAreSkipped) {
     counted.instrumentation = core::sweep_instrumentation::full_counters;
     const core::sweep_result counted_sweep =
         core::run_sweep(small_trace(), counted);
-    const std::string image = v2_image({{{digest, {1, 2}}, fast_sweep},
-                                        {{digest, {3, 4}}, counted_sweep}});
+    const std::string image =
+        image_of(2, {{{digest, {1, 2}}, fast_sweep},
+                     {{digest, {3, 4}}, counted_sweep}});
 
     for (const load_mode mode : {load_mode::strict, load_mode::salvage}) {
         result_cache cache{{4, 64}};
@@ -403,9 +408,8 @@ TEST(ServeCache, VersionTwoFastEntriesLoadAsColumnsAndCountedOnesAreSkipped) {
         EXPECT_TRUE(report.checksum_ok);
         EXPECT_EQ(cache.size(), 4u);
         for (const core::dew_result& pass : fast_sweep.passes) {
-            const auto hit = cache.find(column_key(
-                digest, core::sweep_request{}, pass.block_size(),
-                pass.associativity()));
+            const auto hit = cache.find(
+                column_key(digest, pass.block_size(), pass.associativity()));
             ASSERT_NE(hit, nullptr);
             ASSERT_TRUE(hit->column.has_value());
             ASSERT_EQ(hit->column->max_level(), fast.max_set_exp);
@@ -416,11 +420,8 @@ TEST(ServeCache, VersionTwoFastEntriesLoadAsColumnsAndCountedOnesAreSkipped) {
                           pass.misses(level, 1));
             }
         }
-        // The counted pass left no column, fast or counted.
-        EXPECT_EQ(cache.find(column_key(digest, core::sweep_request{}, 64, 2)),
-                  nullptr);
-        EXPECT_EQ(cache.find(column_key(digest, canonical(counted), 64, 2)),
-                  nullptr);
+        // The counted pass left no column.
+        EXPECT_EQ(cache.find(column_key(digest, 64, 2)), nullptr);
     }
 
     // A v2 image is framed like v3: a cut one is still strict-rejected.
@@ -430,21 +431,53 @@ TEST(ServeCache, VersionTwoFastEntriesLoadAsColumnsAndCountedOnesAreSkipped) {
     EXPECT_EQ(victim.size(), 0u);
 }
 
+TEST(ServeCache, VersionThreeCountedColumnsAreSkipped) {
+    // A counted column, as a service that still served counted sweeps
+    // saved it, between two fast ones: it loads into `skipped` and leaves
+    // no entry, in both modes, and the fast columns around it still load.
+    const trace::trace_digest digest{{21, 22}};
+    core::sweep_request request;
+    request.max_set_exp = 4;
+    request.block_sizes = {16};
+    request.associativities = {2};
+    const core::sweep_result fast_column =
+        core::run_sweep(small_trace(), request);
+    request.instrumentation = core::sweep_instrumentation::full_counters;
+    const core::sweep_result counted_column =
+        core::run_sweep(small_trace(), request);
+    const std::string image =
+        image_of(3, {{column_key(digest, 16, 2), fast_column},
+                     {key_of(7), counted_column},
+                     {key_of(8), fast_column}});
+
+    for (const load_mode mode : {load_mode::strict, load_mode::salvage}) {
+        SCOPED_TRACE(mode == load_mode::strict ? "strict" : "salvage");
+        result_cache cache{{4, 64}};
+        std::istringstream in{image};
+        const cache_load_report report = cache.load(in, mode);
+        EXPECT_EQ(report.loaded, 2u);
+        EXPECT_EQ(report.skipped, 1u);
+        EXPECT_FALSE(report.salvaged);
+        EXPECT_TRUE(report.checksum_ok);
+        EXPECT_EQ(cache.size(), 2u);
+        EXPECT_EQ(cache.find(key_of(7)), nullptr);
+        const auto hit = cache.find(column_key(digest, 16, 2));
+        ASSERT_NE(hit, nullptr);
+        ASSERT_TRUE(hit->column.has_value());
+        EXPECT_EQ(hit->column->misses(4, 2),
+                  fast_column.passes.front().misses(4, 2));
+    }
+}
+
 TEST(ServeCache, VersionThreeEntryMustHoldExactlyOneColumn) {
-    // A v3 header over a two-pass record: framed and checksummed, but not
+    // A v3 image over a two-pass record: framed and checksummed, but not
     // a column.
     core::sweep_request request;
     request.max_set_exp = 3;
     request.block_sizes = {16};
     request.associativities = {2, 4};
-    std::string image = v2_image(
-        {{key_of(1), core::run_sweep(small_trace(), request)}});
-    image[4] = 3;
-    // Re-seal the footer over the patched version byte.
-    image.resize(image.size() - 8);
-    std::ostringstream footer;
-    put_u64(footer, checksum64(image));
-    image += footer.str();
+    const std::string image = image_of(
+        3, {{key_of(1), core::run_sweep(small_trace(), request)}});
 
     result_cache cache{{4, 64}};
     std::istringstream in{image};

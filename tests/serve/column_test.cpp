@@ -2,9 +2,9 @@
 // associativity) pass at the depth it was computed.  These cases pin the
 // column contract: prefixes answer shallower requests, deeper columns
 // replace shallower ones and never the reverse, only missing columns run,
-// counted requests never take a prefix, and an answer survives the
-// eviction of its columns between submit and settle.  Every answer is
-// checked bit-identical to run_sweep of its canonical request.
+// requests naming CIPAR or an ablation share the columns, and an answer
+// survives the eviction of its columns between submit and settle.  Every
+// answer is checked bit-identical to run_sweep of its canonical request.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -37,13 +37,6 @@ service_request grid(unsigned max_set_exp,
     request.sweep.max_set_exp = max_set_exp;
     request.sweep.block_sizes = std::move(blocks);
     request.sweep.associativities = std::move(assocs);
-    return request;
-}
-
-service_request counted(service_request request,
-                        core::sweep_engine engine = core::sweep_engine::dew) {
-    request.sweep.instrumentation = core::sweep_instrumentation::full_counters;
-    request.sweep.engine = engine;
     return request;
 }
 
@@ -214,40 +207,37 @@ TEST(ServeColumns, GridListingDirectMappedComposesExactly) {
     expect_direct(composed, dm_only, records);
 }
 
-TEST(ServeColumns, CountedRequestsNeverTakeAPrefix) {
+TEST(ServeColumns, CiparAndAblatedRequestsShareTheColumns) {
     service svc{};
     svc.add_trace("cjpeg", workload());
     const trace::mem_trace records = workload();
+    expect_direct(svc.submit("cjpeg", grid(10)).get(), grid(10), records);
 
-    for (const core::sweep_engine engine :
-         {core::sweep_engine::dew, core::sweep_engine::cipar}) {
-        SCOPED_TRACE(static_cast<int>(engine));
-        const service_request deep = counted(grid(10), engine);
-        expect_direct(svc.submit("cjpeg", deep).get(), deep, records);
-
-        // Counters depend on the depth: the shallower counted request is
-        // computed at its own depth, not trimmed.
-        const std::uint64_t computations = svc.stats().computations;
-        const service_request shallow = counted(grid(8), engine);
-        const service_result answer = svc.submit("cjpeg", shallow).get();
-        EXPECT_FALSE(answer.cache_hit);
-        expect_direct(answer, shallow, records);
-        EXPECT_EQ(svc.stats().computations, computations + 1);
-
-        // The same counted request again composes from its own columns.
-        const service_result again = svc.submit("cjpeg", shallow).get();
-        EXPECT_TRUE(again.cache_hit);
-        expect_direct(again, shallow, records);
-
-        // A wider counted grid at that depth: cached columns plus one
-        // computed block size, counters and all.
-        const service_stats before = svc.stats();
-        const service_request wider = counted(grid(8, {16, 32, 64}), engine);
-        const service_result partial = svc.submit("cjpeg", wider).get();
-        EXPECT_FALSE(partial.cache_hit);
-        expect_direct(partial, wider, records);
-        EXPECT_EQ(svc.stats().shard_jobs - before.shard_jobs, 1u);
+    // Naming the CIPAR engine or a DEW ablation does not change a miss
+    // count, so a shallower such request is a prefix of the cached columns.
+    service_request cipar = grid(8);
+    cipar.sweep.engine = core::sweep_engine::cipar;
+    service_request ablated = grid(9);
+    ablated.sweep.options = core::dew_options::unoptimized();
+    for (const service_request& request : {cipar, ablated}) {
+        const service_result answer = svc.submit("cjpeg", request).get();
+        EXPECT_TRUE(answer.cache_hit);
+        expect_direct(answer, request, records);
+        // Bit-identical to the engine and options it named, too.
+        expect_identical(*answer.sweep,
+                         core::run_sweep(records, request.sweep));
     }
+
+    // A wider grid naming CIPAR: cached columns plus one computed block
+    // size, run by DEW.
+    const service_stats before = svc.stats();
+    service_request wider = grid(8, {16, 32, 64});
+    wider.sweep.engine = core::sweep_engine::cipar;
+    const service_result partial = svc.submit("cjpeg", wider).get();
+    EXPECT_FALSE(partial.cache_hit);
+    expect_direct(partial, wider, records);
+    EXPECT_EQ(svc.stats().shard_jobs - before.shard_jobs, 1u);
+    EXPECT_EQ(svc.stats().computations, 2u);
 }
 
 TEST(ServeColumns, EvictionBetweenSubmitAndSettleKeepsTheAnswerExact) {

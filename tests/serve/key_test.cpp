@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "serve/key.hpp"
 
@@ -42,146 +43,111 @@ TEST(ServeKey, FingerprintIgnoresSpellingButNotSemantics) {
     EXPECT_EQ(fingerprint(a), fingerprint(b));
 
     // Different questions: each semantic field moves the fingerprint.
-    // The engine and dew_options are semantic for counted requests only
-    // (FastExactRequestsShareOneIdentity below).
-    service_request counted = a;
-    counted.sweep.instrumentation = core::sweep_instrumentation::full_counters;
-    service_request engine = counted;
-    engine.sweep.engine = core::sweep_engine::cipar;
-    EXPECT_NE(fingerprint(engine), fingerprint(counted));
-
-    service_request instrumentation = a;
-    instrumentation.sweep.instrumentation =
-        core::sweep_instrumentation::full_counters;
-    EXPECT_NE(fingerprint(instrumentation), fingerprint(a));
-
     service_request grid = a;
     grid.sweep.block_sizes = {16, 32, 64};
     EXPECT_NE(fingerprint(grid), fingerprint(a));
 
+    service_request assocs = a;
+    assocs.sweep.associativities = {2, 4, 8};
+    EXPECT_NE(fingerprint(assocs), fingerprint(a));
+
     service_request depth = a;
     depth.sweep.max_set_exp = 9;
     EXPECT_NE(fingerprint(depth), fingerprint(a));
-
-    service_request options = counted;
-    options.sweep.options.use_mre = false;
-    EXPECT_NE(fingerprint(options), fingerprint(counted));
 
     service_request mode = a;
     mode.mode = service_mode::representative;
     EXPECT_NE(fingerprint(mode), fingerprint(a));
 }
 
-TEST(ServeKey, CiparEngineIgnoresDewOptions) {
-    // dew_options select DEW tree properties; the cipar engine never reads
-    // them, so they are dead fields of a cipar request and must not
-    // fragment the key space (the same normalisation exact mode applies to
-    // the unused representative knobs).
-    service_request a = base_request();
-    a.sweep.engine = core::sweep_engine::cipar;
-    service_request b = a;
-    b.sweep.options.use_mre = false;
-    b.sweep.options.use_wave = false;
-    b.sweep.options.mre_depth = 4;
-    EXPECT_EQ(fingerprint(a), fingerprint(b));
-
-    // On the DEW engine the same fields are semantic for a counted
-    // request (counters differ).
-    service_request c = base_request();
-    c.sweep.instrumentation = core::sweep_instrumentation::full_counters;
-    service_request d = c;
-    d.sweep.options.mre_depth = 4;
-    EXPECT_NE(fingerprint(c), fingerprint(d));
+TEST(ServeKey, CanonicalRejectsCountedSweepsInBothTiers) {
+    // The service answers fast miss counts only; a counted sweep is a
+    // core::run_sweep call, and the message says so.
+    for (const service_mode tier :
+         {service_mode::exact, service_mode::representative}) {
+        SCOPED_TRACE(static_cast<int>(tier));
+        service_request counted = base_request();
+        counted.mode = tier;
+        counted.sweep.instrumentation =
+            core::sweep_instrumentation::full_counters;
+        try {
+            (void)canonical(counted);
+            ADD_FAILURE() << "counted sweep accepted";
+        } catch (const std::invalid_argument& error) {
+            EXPECT_NE(std::string{error.what()}.find("core::run_sweep"),
+                      std::string::npos)
+                << error.what();
+        }
+        EXPECT_THROW((void)fingerprint(counted), std::invalid_argument);
+        EXPECT_THROW((void)canonical(counted.sweep), std::invalid_argument);
+    }
 }
 
-TEST(ServeKey, FastExactRequestsShareOneIdentityAcrossEnginesAndOptions) {
-    // A fast exact answer is miss counts alone, bit-identical across
-    // engines and dew_options: canonical() resets both, so fast DEW, fast
-    // CIPAR and any ablation of one grid are one question.
-    const service_request dew_fast = base_request();
-    service_request cipar_fast = base_request();
-    cipar_fast.sweep.engine = core::sweep_engine::cipar;
-    service_request ablated = base_request();
-    ablated.sweep.options.use_mre = false;
-    ablated.sweep.options.use_wave = false;
-    ablated.sweep.options.mre_depth = 4;
-    EXPECT_EQ(fingerprint(cipar_fast), fingerprint(dew_fast));
-    EXPECT_EQ(fingerprint(ablated), fingerprint(dew_fast));
-    const service_request normal = canonical(cipar_fast);
-    EXPECT_EQ(normal.sweep.engine, core::sweep_engine::dew);
-    EXPECT_EQ(normal.sweep.options.use_mre, core::dew_options{}.use_mre);
-    EXPECT_EQ(canonical(ablated).sweep.options.mre_depth,
-              core::dew_options{}.mre_depth);
+TEST(ServeKey, EngineAndDewOptionsNeverMoveTheFingerprintInEitherTier) {
+    // Fast miss counts are bit-identical across engines and dew_options:
+    // canonical() resets both, so fast DEW, fast CIPAR and any ablation of
+    // one grid are one question, in the exact and the representative tier.
+    for (const service_mode tier :
+         {service_mode::exact, service_mode::representative}) {
+        SCOPED_TRACE(static_cast<int>(tier));
+        service_request dew_fast = base_request();
+        dew_fast.mode = tier;
+        service_request cipar_fast = dew_fast;
+        cipar_fast.sweep.engine = core::sweep_engine::cipar;
+        service_request ablated = dew_fast;
+        ablated.sweep.options.use_mra_stop = false;
+        ablated.sweep.options.use_wave = false;
+        ablated.sweep.options.mre_depth = 4;
+        service_request cipar_ablated = ablated;
+        cipar_ablated.sweep.engine = core::sweep_engine::cipar;
+        EXPECT_EQ(fingerprint(cipar_fast), fingerprint(dew_fast));
+        EXPECT_EQ(fingerprint(ablated), fingerprint(dew_fast));
+        EXPECT_EQ(fingerprint(cipar_ablated), fingerprint(dew_fast));
 
-    // Counted requests keep both fields: their counters differ.
-    service_request dew_counted = dew_fast;
-    dew_counted.sweep.instrumentation =
-        core::sweep_instrumentation::full_counters;
-    service_request cipar_counted = cipar_fast;
-    cipar_counted.sweep.instrumentation =
-        core::sweep_instrumentation::full_counters;
-    service_request ablated_counted = ablated;
-    ablated_counted.sweep.instrumentation =
-        core::sweep_instrumentation::full_counters;
-    EXPECT_NE(fingerprint(cipar_counted), fingerprint(dew_counted));
-    EXPECT_NE(fingerprint(ablated_counted), fingerprint(dew_counted));
-    EXPECT_EQ(canonical(cipar_counted).sweep.engine,
-              core::sweep_engine::cipar);
+        const service_request normal = canonical(cipar_ablated);
+        EXPECT_EQ(normal.sweep.engine, core::sweep_engine::dew);
+        EXPECT_EQ(normal.sweep.options.use_mra_stop,
+                  core::dew_options{}.use_mra_stop);
+        EXPECT_EQ(normal.sweep.options.use_wave,
+                  core::dew_options{}.use_wave);
+        EXPECT_EQ(normal.sweep.options.mre_depth,
+                  core::dew_options{}.mre_depth);
+    }
 
-    // The representative tier keeps the engine it was asked for.
-    service_request estimate_dew = dew_fast;
-    estimate_dew.mode = service_mode::representative;
-    service_request estimate_cipar = cipar_fast;
-    estimate_cipar.mode = service_mode::representative;
-    EXPECT_NE(fingerprint(estimate_cipar), fingerprint(estimate_dew));
-
-    // An ill-formed ablation is still rejected before the reset.
+    // An ill-formed ablation is still rejected before the reset, as
+    // run_sweep would reject it.
     service_request bad = base_request();
     bad.sweep.options.use_mre = true;
     bad.sweep.options.mre_depth = 0;
     EXPECT_THROW((void)canonical(bad), std::invalid_argument);
 }
 
-TEST(ServeKey, ColumnKeysFoldDepthOnlyForCountedColumns) {
+TEST(ServeKey, ColumnKeysFoldTraceBlockAndAssociativityOnly) {
     const trace::trace_digest trace_a{{1, 2}};
     const trace::trace_digest trace_b{{3, 4}};
-    const core::sweep_request fast = canonical(base_request()).sweep;
 
-    // A fast column is one key at every depth: the deeper pass holds the
-    // shallower one as a prefix.
-    core::sweep_request deeper = fast;
-    deeper.max_set_exp = 12;
-    EXPECT_EQ(column_key(trace_a, fast, 16, 2),
-              column_key(trace_a, deeper, 16, 2));
     // Trace, block size and associativity each move it.
-    EXPECT_NE(column_key(trace_a, fast, 16, 2),
-              column_key(trace_b, fast, 16, 2));
-    EXPECT_NE(column_key(trace_a, fast, 16, 2),
-              column_key(trace_a, fast, 32, 2));
-    EXPECT_NE(column_key(trace_a, fast, 16, 2),
-              column_key(trace_a, fast, 16, 4));
+    EXPECT_NE(column_key(trace_a, 16, 2), column_key(trace_b, 16, 2));
+    EXPECT_NE(column_key(trace_a, 16, 2), column_key(trace_a, 32, 2));
+    EXPECT_NE(column_key(trace_a, 16, 2), column_key(trace_a, 16, 4));
+    EXPECT_NE(column_key(trace_a, 2, 16), column_key(trace_a, 16, 2));
     // A column key never equals a request key.
-    EXPECT_NE(column_key(trace_a, fast, 16, 2),
-              make_key(trace_a, base_request()));
+    EXPECT_NE(column_key(trace_a, 16, 2), make_key(trace_a, base_request()));
+}
 
-    // A counted column's counters depend on the depth, the engine and the
-    // dew_options, so its key folds all three.
-    core::sweep_request counted = fast;
-    counted.instrumentation = core::sweep_instrumentation::full_counters;
-    EXPECT_NE(column_key(trace_a, counted, 16, 2),
-              column_key(trace_a, fast, 16, 2));
-    core::sweep_request counted_deeper = counted;
-    counted_deeper.max_set_exp = 12;
-    EXPECT_NE(column_key(trace_a, counted, 16, 2),
-              column_key(trace_a, counted_deeper, 16, 2));
-    core::sweep_request counted_cipar = counted;
-    counted_cipar.engine = core::sweep_engine::cipar;
-    EXPECT_NE(column_key(trace_a, counted, 16, 2),
-              column_key(trace_a, counted_cipar, 16, 2));
-    core::sweep_request counted_ablated = counted;
-    counted_ablated.options.use_wave = false;
-    EXPECT_NE(column_key(trace_a, counted, 16, 2),
-              column_key(trace_a, counted_ablated, 16, 2));
+TEST(ServeKey, ColumnKeysArePinned) {
+    // Cache files persist column keys, so a key must never change between
+    // builds: these are the keys existing version 3 files hold, and a
+    // saved column must still hit.
+    const trace::trace_digest digest{
+        {0x0123456789ABCDEFull, 0xFEDCBA9876543210ull}};
+    const request_key b16_a2 = column_key(digest, 16, 2);
+    EXPECT_EQ(b16_a2.trace, digest);
+    EXPECT_EQ(b16_a2.request[0], 0xDDE180810AB6D81Bull);
+    EXPECT_EQ(b16_a2.request[1], 0x01B2882E7B4CEB99ull);
+    const request_key b64_a8 = column_key(digest, 64, 8);
+    EXPECT_EQ(b64_a8.request[0], 0xC5F192E9CDC06ABAull);
+    EXPECT_EQ(b64_a8.request[1], 0x76365700EB5AAF63ull);
 }
 
 TEST(ServeKey, ExactModeIgnoresRepresentativeKnobs) {

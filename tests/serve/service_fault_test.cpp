@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "dew/sweep.hpp"
 #include "phase/representative_sweep.hpp"
 #include "serve/service.hpp"
+#include "support/grid_questions.hpp"
 #include "trace/fault.hpp"
 #include "trace/mediabench.hpp"
 
@@ -527,18 +529,22 @@ TEST(ServiceFault, CompletionsFireExactlyOnceUnderAnswerCancelDeadlineRaces) {
     service svc{options};
     svc.add_trace("cjpeg", workload());
 
-    // Distinct keys (mre_depth is part of the DEW request identity) so
-    // flights, coalescing and cache hits mix; a quarter of the waiters
-    // carry tight deadlines and a quarter are cancelled from another
-    // thread while the pool answers.
+    // 40 distinct grids, each asked ten times, so flights, coalescing and
+    // cache hits mix; a quarter of the waiters carry tight deadlines and a
+    // quarter are cancelled from another thread while the pool answers.
     constexpr std::size_t waiters = 400;
+    constexpr std::size_t questions = 40;
+    std::set<std::array<std::uint64_t, 2>> fingerprints;
+    for (std::size_t q = 0; q < questions; ++q) {
+        fingerprints.insert(fingerprint(test_support::grid_question(q, 6)));
+    }
+    ASSERT_EQ(fingerprints.size(), questions);
     std::vector<std::atomic<int>> calls(waiters);
     std::vector<std::atomic<settled_as>> outcome(waiters);
     std::vector<cancel_lever> levers(waiters);
     for (std::size_t i = 0; i < waiters; ++i) {
-        service_request request = exact_request(4 + i % 3);
-        request.sweep.options.mre_depth =
-            1 + static_cast<std::uint32_t>(i % 40);
+        service_request request =
+            test_support::grid_question(i % questions, 6);
         if (i % 4 == 1) {
             request.deadline = std::chrono::microseconds{50 * (i % 7)};
         }

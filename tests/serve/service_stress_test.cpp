@@ -1,5 +1,5 @@
-// Concurrency stress: many submitter threads, a mix of identical and
-// distinct requests, both engines and both tiers.  Every returned result
+// Concurrency stress: many submitter threads, a mix of identical,
+// respelled and distinct requests, and both tiers.  Every returned result
 // must be bit-identical to a direct run_sweep, every duplicate must be
 // absorbed by coalescing or the cache (never recomputed), and the
 // accounting must balance exactly.  This suite is the ThreadSanitizer
@@ -44,17 +44,21 @@ void expect_identical(const core::sweep_result& a,
     }
 }
 
-// The distinct questions of the stress mix: both engines, varying grids.
-std::vector<service_request> distinct_requests() {
+// The requests of the stress mix: two depths, each spelled two ways
+// (sorted, and reversed with threads set).
+std::vector<service_request> mix_requests() {
     std::vector<service_request> requests;
-    for (const core::sweep_engine engine :
-         {core::sweep_engine::dew, core::sweep_engine::cipar}) {
+    for (const bool respelled : {false, true}) {
         for (const unsigned exp : {5u, 6u}) {
             service_request request;
             request.sweep.max_set_exp = exp;
             request.sweep.block_sizes = {16, 32};
             request.sweep.associativities = {2, 4};
-            request.sweep.engine = engine;
+            if (respelled) {
+                request.sweep.block_sizes = {32, 16};
+                request.sweep.associativities = {4, 2};
+                request.sweep.threads = 2;
+            }
             requests.push_back(request);
         }
     }
@@ -65,7 +69,7 @@ TEST(ServiceStress, ConcurrentMixedSubmissionsStayExactAndNeverRecompute) {
     service svc{{3, 256, overflow_policy::block, {8, 256}}};
     svc.add_trace("cjpeg", workload(trace::mediabench_app::cjpeg));
 
-    const std::vector<service_request> requests = distinct_requests();
+    const std::vector<service_request> requests = mix_requests();
     // Reference answers computed directly, once, up front.
     const trace::mem_trace trace = workload(trace::mediabench_app::cjpeg);
     std::vector<core::sweep_result> references;
@@ -115,12 +119,11 @@ TEST(ServiceStress, ConcurrentMixedSubmissionsStayExactAndNeverRecompute) {
     const std::uint64_t total = submitters * rounds * requests.size();
     EXPECT_EQ(stats.submitted, total);
     EXPECT_EQ(stats.completed, total);
-    // Cache hits never re-simulate.  The fast DEW and CIPAR requests of
-    // one depth are one canonical question, so the mix asks two: depth 5
-    // and depth 6.  Depth 6 always computes (no column is deeper); depth
-    // 5 computes only when it found no depth-6 columns yet, so a
-    // computation is exactly a request that had a missing column, and
-    // there are one or two of them.
+    // Cache hits never re-simulate.  Both spellings of one depth are one
+    // canonical question, so the mix asks two: depth 5 and depth 6.
+    // Depth 6 always computes (no column is deeper); depth 5 computes only
+    // when it found no depth-6 columns yet, so a computation is exactly a
+    // request that had a missing column, and there are one or two of them.
     std::uint64_t computed_results = 0;
     for (auto& per_thread : futures) {
         computed_results += per_thread.size();

@@ -1,6 +1,7 @@
 // The sweep service's functional contract: exact answers bit-identical to
-// run_sweep on both engines, cache hits without recomputation,
-// deterministic coalescing, tiers, backpressure, and persistence.
+// run_sweep (and their miss counts to the CIPAR oracle), counted sweeps
+// refused, cache hits without recomputation, deterministic coalescing,
+// tiers, backpressure, and persistence.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -60,23 +61,23 @@ void expect_identical(const core::sweep_result& a,
     }
 }
 
-TEST(Service, ExactAnswersAreBitIdenticalToRunSweepOnBothEngines) {
+TEST(Service, ExactAnswersAreBitIdenticalToRunSweepAndTheCiparOracle) {
     const trace::mem_trace trace = workload();
-
-    for (const core::sweep_engine engine :
-         {core::sweep_engine::dew, core::sweep_engine::cipar}) {
-        // A fresh service per engine: fast requests of both engines share
-        // columns, so the second would be a cache hit.
-        service svc{{2, 64, overflow_policy::block, {4, 64}}};
-        svc.add_trace("cjpeg", workload());
-        const service_request request = exact_request(engine);
-        service_result answer = svc.submit("cjpeg", request).get();
-        ASSERT_NE(answer.sweep, nullptr);
-        EXPECT_FALSE(answer.cache_hit);
-        EXPECT_FALSE(answer.estimated);
-        expect_identical(*answer.sweep,
-                         core::run_sweep(trace, canonical(request).sweep));
-    }
+    service svc{{2, 64, overflow_policy::block, {4, 64}}};
+    svc.add_trace("cjpeg", workload());
+    const service_request request = exact_request();
+    service_result answer = svc.submit("cjpeg", request).get();
+    ASSERT_NE(answer.sweep, nullptr);
+    EXPECT_FALSE(answer.cache_hit);
+    EXPECT_FALSE(answer.estimated);
+    expect_identical(*answer.sweep,
+                     core::run_sweep(trace, canonical(request).sweep));
+    // The CIPAR engine is a library oracle, not a served engine: its
+    // run_sweep gives the same miss counts.
+    expect_identical(*answer.sweep,
+                     core::run_sweep(trace,
+                                     exact_request(core::sweep_engine::cipar)
+                                         .sweep));
 }
 
 TEST(Service, FastCiparAfterFastDewOfOneGridIsACacheHit) {
@@ -100,17 +101,23 @@ TEST(Service, FastCiparAfterFastDewOfOneGridIsACacheHit) {
     EXPECT_EQ(svc.stats().computations, 1u);
 }
 
-TEST(Service, CountedInstrumentationFlowsThrough) {
+TEST(Service, CountedSweepsAreRefusedInBothTiers) {
+    // The service answers fast miss counts only; counted sweeps are
+    // core::run_sweep calls.  submit() throws up front and counts nothing.
     service svc{};
     svc.add_trace("cjpeg", workload());
-    service_request request = exact_request();
-    request.sweep.instrumentation =
-        core::sweep_instrumentation::full_counters;
-    const service_result answer = svc.submit("cjpeg", request).get();
-    expect_identical(*answer.sweep,
-                     core::run_sweep(workload(), canonical(request).sweep));
-    EXPECT_EQ(answer.sweep->total_counters().requests,
-              trace_records * answer.sweep->passes.size());
+    for (const service_mode tier :
+         {service_mode::exact, service_mode::representative}) {
+        service_request request = exact_request();
+        request.mode = tier;
+        request.sweep.instrumentation =
+            core::sweep_instrumentation::full_counters;
+        EXPECT_THROW((void)svc.submit("cjpeg", request),
+                     std::invalid_argument);
+    }
+    const service_stats stats = svc.stats();
+    EXPECT_EQ(stats.submitted, 0u);
+    EXPECT_EQ(stats.computations, 0u);
 }
 
 TEST(Service, CacheHitsNeverRecomputeAndSpellingDoesNotMatter) {
